@@ -17,7 +17,6 @@ module Log_manager = Pitree_wal.Log_manager
 module Recovery = Pitree_wal.Recovery
 module Crash_point = Pitree_util.Crash_point
 module Wellformed = Pitree_core.Wellformed
-module Kv = Pitree_harness.Kv
 module Workload = Pitree_harness.Workload
 module Driver = Pitree_harness.Driver
 module Endure = Pitree_harness.Endure
@@ -70,9 +69,9 @@ let instance engine =
   let env = mk_env () in
   let inst =
     match engine with
-    | Eblink -> Kv.blink (Blink.create env ~name:"bench")
-    | Ecoupling -> Kv.coupling (Btc.create env ~name:"bench")
-    | Etreelatch -> Kv.treelatch (Btl.create env ~name:"bench")
+    | Eblink -> Blink_engine.inst (Blink.create env ~name:"bench")
+    | Ecoupling -> Btc.inst (Btc.create env ~name:"bench")
+    | Etreelatch -> Btl.inst (Btl.create env ~name:"bench")
   in
   (env, inst)
 
@@ -96,7 +95,7 @@ let scaling_experiment ~title ~spec ~preload ~ops =
             let r = Driver.run ~domains ~ops_per_domain:(ops / domains) ~seed:42L inst spec in
             ignore (Env.drain env);
             [
-              Kv.name inst;
+              Engine.name inst;
               string_of_int domains;
               fmt_ops r.Driver.ops_per_s;
               Printf.sprintf "%.0f" r.Driver.mean_ns;
@@ -148,7 +147,7 @@ let e4 () =
         let s = Latch.global_stats () in
         let per_op v = float_of_int v /. float_of_int ops in
         [
-          Kv.name inst;
+          Engine.name inst;
           fmt_ops r.Driver.ops_per_s;
           Printf.sprintf "%.2f" (per_op s.Latch.acquisitions);
           Printf.sprintf "%.3f" (per_op s.Latch.contended);
@@ -519,7 +518,7 @@ let e12 () =
     let env = mk_env ~page_size:512 ~page_oriented_undo:true () in
     let t = Blink.create env ~name:"t" in
     Blink.set_move_granularity t granularity;
-    let inst = Kv.blink t in
+    let inst = Blink_engine.inst t in
     let spec =
       Workload.spec ~key_space:20_000 ~read_pct:20 ~insert_pct:70 ~delete_pct:10
         ~dist:(Workload.Zipf 0.9) ()
@@ -599,7 +598,7 @@ let e14 () =
             ignore (Env.drain env);
             [
               (if theta = 0.0 then "uniform" else Printf.sprintf "zipf %.2f" theta);
-              Kv.name inst;
+              Engine.name inst;
               fmt_ops r.Driver.ops_per_s;
               string_of_int r.Driver.p99_ns;
             ])
@@ -1377,7 +1376,7 @@ type olc_run = {
 let olc_storm ~olc_reads ~workload ~spec ~domains ~ops_per_domain ~preload =
   let env = mk_env ~olc_reads () in
   let t = Blink.create env ~name:"bench" in
-  let inst = Kv.blink t in
+  let inst = Blink_engine.inst t in
   Driver.preload inst spec ~n:preload;
   ignore (Env.drain env);
   let s0 = Blink.stats t in
@@ -1548,7 +1547,7 @@ let combine_storm ~combine ~window_us ~slots ~page_size ~domains
       }
   in
   let t = Blink.create env ~name:"bench" in
-  let inst = Kv.blink t in
+  let inst = Blink_engine.inst t in
   let spec =
     Workload.spec ~key_space ~read_pct:0 ~insert_pct:100
       ~dist:(Workload.Zipf 0.99) ()

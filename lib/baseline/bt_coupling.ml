@@ -334,3 +334,18 @@ let stats t =
     splits = Atomic.get t.c_splits;
     unsafe_retained = Atomic.get t.c_unsafe;
   }
+
+(* Behind [Pitree_core.Engine.S]: non-transactional by construction, so
+   [?txn] is ignored and mixed workloads still run; no ordered iteration,
+   so [scan] reports 0 records. *)
+module Impl = struct
+  type nonrec t = t
+
+  let engine_name = "lock-coupling"
+  let insert ?txn:_ t ~key ~value = insert t ~key ~value
+  let delete ?txn:_ t k = delete t k
+  let find ?txn:_ t k = find t k
+  let scan ?txn:_ _ ~low:_ ~n:_ = 0
+end
+
+let inst t = Pitree_core.Engine.Inst ((module Impl), t)

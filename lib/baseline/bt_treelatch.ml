@@ -324,3 +324,18 @@ let stats t =
     splits = Atomic.get t.c_splits;
     smo_waits = Atomic.get t.c_smo_waits;
   }
+
+(* Behind [Pitree_core.Engine.S]: non-transactional by construction, so
+   [?txn] is ignored and mixed workloads still run; no ordered iteration,
+   so [scan] reports 0 records. *)
+module Impl = struct
+  type nonrec t = t
+
+  let engine_name = "tree-latch (serial SMO)"
+  let insert ?txn:_ t ~key ~value = insert t ~key ~value
+  let delete ?txn:_ t k = delete t k
+  let find ?txn:_ t k = find t k
+  let scan ?txn:_ _ ~low:_ ~n:_ = 0
+end
+
+let inst t = Pitree_core.Engine.Inst ((module Impl), t)

@@ -34,3 +34,7 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val inst : t -> Pitree_core.Engine.instance
+(** This baseline behind the uniform engine interface; [?txn] is ignored
+    and [scan] reports 0 (no ordered iteration). *)

@@ -3,7 +3,6 @@ module Buffer_pool = Pitree_storage.Buffer_pool
 module Latch = Pitree_sync.Latch
 module Version = Pitree_sync.Version
 module Olc = Pitree_storage.Olc
-module Latch_order = Pitree_sync.Latch_order
 module Page_op = Pitree_wal.Page_op
 module Lsn = Pitree_wal.Lsn
 module Log_record = Pitree_wal.Log_record
@@ -17,9 +16,9 @@ module Atomic_action = Pitree_txn.Atomic_action
 module Crash_point = Pitree_util.Crash_point
 module Combine = Pitree_combine.Combine
 module Env = Pitree_env.Env
-module Saved_path = Pitree_core.Saved_path
 module Wellformed = Pitree_core.Wellformed
 module Keyspace = Pitree_core.Keyspace
+module Protocol = Pitree_core.Protocol
 
 (* Every Crash_point.hit site in this engine, pre-registered so sweep
    harnesses can enumerate them before any fires. *)
@@ -58,7 +57,8 @@ type stats = {
   descents : int;
 }
 
-(* Mutable atomic counters behind the frozen [stats] snapshot. *)
+(* Mutable atomic counters behind the frozen [stats] snapshot; the
+   protocol core keeps the traversal and posting ones. *)
 type counters = {
   c_searches : int Atomic.t;
   c_inserts : int Atomic.t;
@@ -66,18 +66,9 @@ type counters = {
   c_leaf_splits : int Atomic.t;
   c_index_splits : int Atomic.t;
   c_root_splits : int Atomic.t;
-  c_side_traversals : int Atomic.t;
-  c_postings_scheduled : int Atomic.t;
-  c_postings_completed : int Atomic.t;
-  c_postings_noop : int Atomic.t;
   c_consolidations : int Atomic.t;
   c_consolidations_skipped : int Atomic.t;
-  c_path_reuse_hits : int Atomic.t;
-  c_full_retraversals : int Atomic.t;
   c_lock_restarts : int Atomic.t;
-  c_olc_restarts : int Atomic.t;
-  c_olc_fallbacks : int Atomic.t;
-  c_descents : int Atomic.t;
 }
 
 let fresh_counters () =
@@ -88,42 +79,62 @@ let fresh_counters () =
     c_leaf_splits = Atomic.make 0;
     c_index_splits = Atomic.make 0;
     c_root_splits = Atomic.make 0;
-    c_side_traversals = Atomic.make 0;
-    c_postings_scheduled = Atomic.make 0;
-    c_postings_completed = Atomic.make 0;
-    c_postings_noop = Atomic.make 0;
     c_consolidations = Atomic.make 0;
     c_consolidations_skipped = Atomic.make 0;
-    c_path_reuse_hits = Atomic.make 0;
-    c_full_retraversals = Atomic.make 0;
     c_lock_restarts = Atomic.make 0;
-    c_olc_restarts = Atomic.make 0;
-    c_olc_fallbacks = Atomic.make 0;
-    c_descents = Atomic.make 0;
   }
 
 let bump c = Atomic.incr c
+
+(* Test-only protocol-bug injection (validated by lib/sim's schedule
+   explorer): deliberately break the split protocol so the oracles —
+   linearizability and well-formedness — can be shown to catch it. *)
+type injected_bug =
+  | No_bug
+  | Early_unlatch_split
+  | Early_unlatch_merge
+      (* drop every latch mid-merge, after the containing node took over
+         the contained node's space but before the parent's index term is
+         removed: two nodes directly claim the same key space *)
+  | Bad_post_sep
+  | No_version_bump
+      (* writers take and release X latches correctly but never touch the
+         node's version word, so optimistic readers validate stale reads *)
+  | Ack_before_durable
+      (* the combining leader broadcasts success to its followers before
+         the batch is applied or committed (Combine.Testing) *)
+
+let injected_bug = ref No_bug
+
+(* The protocol core over B-link nodes. *)
+module P = Protocol.Make_interval (struct
+  include Node
+
+  let fence_high p = (Node.fence p).Node.high
+
+  (* Injected bug 2: post a separator one byte short, so the index term
+     claims space the child is not responsible for (well-formedness
+     condition 3). *)
+  let posted_sep sep =
+    if !injected_bug = Bad_post_sep && String.length sep > 1 then
+      String.sub sep 0 (String.length sep - 1)
+    else sep
+
+  let hit = function
+    | `Latched -> Crash_point.hit "blink.post.latched"
+    | `Updated -> Crash_point.hit "blink.post.updated"
+    | `Done -> Crash_point.hit "blink.post.done"
+end)
 
 type t = {
   env : Env.t;
   name : string;
   root : int;
   c : counters;
-  (* Dedup of queued posting tasks, keyed by the pid whose term is being
-     posted. Purely an optimization: posting is idempotent anyway. *)
-  pending : (int, unit) Hashtbl.t;
-  pending_mu : Mutex.t;
-  (* Dedup of queued consolidation tasks, keyed by under-utilized pid. *)
-  pending_consol : (int, unit) Hashtbl.t;
+  proto : P.t;
   (* How move locks are realized under page-oriented UNDO (section 4.2.2):
      one node-granule lock, or one U lock per record to be moved. *)
   mutable move_granularity : [ `Node | `Record ];
-  (* A permanently pinned root frame for latch-free descents: pinned
-     frames are never evicted, so optimistic readers skip the root's
-     shard mutex entirely (the hottest pin in the tree). Keyed by pool
-     identity — recovery replaces the pool object, invalidating the
-     cache. *)
-  root_cache : (Buffer_pool.t * Buffer_pool.frame) option Atomic.t;
   (* Hot-key write combining: non-transactional inserts funnel through
      this per-tree combiner ([Env.config.combine]). A combined request
      the batch could not serve is [Handback]: the caller re-runs it on
@@ -148,51 +159,12 @@ let cfg t = Env.config t.env
 
 let pin t pid = Buffer_pool.pin (pool t) pid
 let unpin t fr = Buffer_pool.unpin (pool t) fr
-
-(* Latch rank for deadlock-avoidance checking: parents (higher levels)
-   before children. *)
-let rank page = 255 - Page.level page
-
-let latch fr m =
-  Latch.acquire fr.Buffer_pool.latch m;
-  Latch_order.acquired (rank fr.Buffer_pool.page)
-
-let unlatch fr m =
-  Latch_order.released (rank fr.Buffer_pool.page);
-  Latch.release fr.Buffer_pool.latch m
-
-(* For the rare callers that changed the node's LEVEL while holding the X
-   latch (root growth, de-allocation): release the order-checker entry at
-   the rank recorded when the latch was taken. *)
-let unlatch_at rank0 fr m =
-  Latch_order.released rank0;
-  Latch.release fr.Buffer_pool.latch m
-
-let promote fr =
-  Latch_order.promoting (rank fr.Buffer_pool.page);
-  Latch.promote fr.Buffer_pool.latch
-
+let latch = Protocol.latch
+let unlatch = Protocol.unlatch
+let unlatch_at = Protocol.unlatch_at
+let promote = Protocol.promote
+let rank = Protocol.rank
 let page fr = fr.Buffer_pool.page
-
-(* Test-only protocol-bug injection (validated by lib/sim's schedule
-   explorer): deliberately break the split protocol so the oracles —
-   linearizability and well-formedness — can be shown to catch it. *)
-type injected_bug =
-  | No_bug
-  | Early_unlatch_split
-  | Early_unlatch_merge
-      (* drop every latch mid-merge, after the containing node took over
-         the contained node's space but before the parent's index term is
-         removed: two nodes directly claim the same key space *)
-  | Bad_post_sep
-  | No_version_bump
-      (* writers take and release X latches correctly but never touch the
-         node's version word, so optimistic readers validate stale reads *)
-  | Ack_before_durable
-      (* the combining leader broadcasts success to its followers before
-         the batch is applied or committed (Combine.Testing) *)
-
-let injected_bug = ref No_bug
 
 (* Logged page update under [txn]; caller holds the X latch. *)
 let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
@@ -208,349 +180,11 @@ let update_record t txn fr op ~comp =
   in
   ignore (Txn_mgr.update ?lundo (mgr t) txn fr op)
 
-(* ---------- creation ---------- *)
-
-(* Forward declarations: creation registers trees with the logical-undo
-   registry defined further down; the posting action needs the traversal
-   machinery and vice versa. *)
-let register_tree_fwd : (t -> unit) ref = ref (fun _ -> ())
-let register_tree_hook t = !register_tree_fwd t
-
-(* Forward declaration: the combiner's batch apply needs the whole
-   traversal/lock machinery below. *)
-let attach_combiner_fwd : (t -> unit) ref = ref (fun _ -> ())
-let attach_combiner t = !attach_combiner_fwd t
-
-let create e ~name =
-  let root = Env.create_tree e ~name ~kind:Page.Data ~level:0 in
-  let t =
-    {
-      env = e;
-      name;
-      root;
-      c = fresh_counters ();
-      pending = Hashtbl.create 16;
-      pending_mu = Mutex.create ();
-      pending_consol = Hashtbl.create 16;
-      move_granularity = `Node;
-      root_cache = Atomic.make None;
-      combiner = None;
-    }
-  in
-  (* Give the root its fence cell (responsible for the whole space). *)
-  Atomic_action.run (mgr t) (fun txn ->
-      let fr = pin t root in
-      latch fr Latch.X;
-      update t txn fr
-        (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-      unlatch fr Latch.X;
-      unpin t fr);
-  register_tree_hook t;
-  attach_combiner t;
-  t
-
-(* For file-persistent databases restarted in a fresh process: recovery may
-   need this tree's logical-undo handler BEFORE the catalog is readable, so
-   callers that persist root pids externally can pre-register. *)
-let register_for_recovery e ~root =
-  register_tree_hook
-    {
-      env = e;
-      name = Printf.sprintf "<recovery:%d>" root;
-      root;
-      c = fresh_counters ();
-      pending = Hashtbl.create 4;
-      pending_mu = Mutex.create ();
-      pending_consol = Hashtbl.create 4;
-      move_granularity = `Node;
-      root_cache = Atomic.make None;
-      combiner = None;
-    }
-
-let open_existing e ~name =
-  match Env.find_tree e ~name with
-  | None -> None
-  | Some root ->
-      let t =
-        {
-          env = e;
-          name;
-          root;
-          c = fresh_counters ();
-          pending = Hashtbl.create 16;
-          pending_mu = Mutex.create ();
-          pending_consol = Hashtbl.create 16;
-          move_granularity = `Node;
-          root_cache = Atomic.make None;
-          combiner = None;
-        }
-      in
-      register_tree_hook t;
-      attach_combiner t;
-      Some t
-
-(* ---------- posting scheduling (section 5.1) ---------- *)
-
-let move_locked t pid =
-  List.exists
-    (fun (_, m) -> m = Lock_mode.Move || m = Lock_mode.X)
-    (Lock_manager.holders (locks t) (Lock_manager.Node { tree = t.root; page = pid }))
-
-(* Forward declaration: the posting action needs the traversal machinery
-   and vice versa. *)
-let post_action :
-    (t -> level:int -> path:Saved_path.t -> address:int -> key:string -> unit) ref
-  =
-  ref (fun _ ~level:_ ~path:_ ~address:_ ~key:_ -> assert false)
-
-(* Called when a traversal at [level] follows the side pointer of
-   [container] looking for [key]: the index term for the sibling may be
-   missing one level up. [path] holds the nodes above [level] already
-   traversed. *)
-let maybe_schedule_posting t ~level ~container ~sibling ~path ~key =
-  (* A move lock on the split node means the split's transaction has not
-     committed: do not post its index term (section 4.2.2). *)
-  if (not (cfg t).Env.page_oriented_undo) || not (move_locked t container) then begin
-    Mutex.lock t.pending_mu;
-    let fresh = not (Hashtbl.mem t.pending sibling) in
-    if fresh then Hashtbl.replace t.pending sibling ();
-    Mutex.unlock t.pending_mu;
-    if fresh then begin
-      bump t.c.c_postings_scheduled;
-      Env.schedule t.env (fun () ->
-          Mutex.lock t.pending_mu;
-          Hashtbl.remove t.pending sibling;
-          Mutex.unlock t.pending_mu;
-          !post_action t ~level:(level + 1) ~path ~address:sibling ~key)
-    end
-  end
-
-let pending_postings t =
-  Mutex.lock t.pending_mu;
-  let n = Hashtbl.length t.pending in
-  Mutex.unlock t.pending_mu;
-  n
-
-(* ---------- traversal ---------- *)
-
-(* Side-step along sibling pointers (same level) until the node directly
-   contains [key]. [fr] is latched in [m]; returns the (possibly different)
-   frame latched in [m]. Missing index terms discovered on the way are
-   scheduled for posting. *)
-let rec side_step t ~key ~m ~path fr =
-  let p = page fr in
-  if Node.contains p key then fr
-  else begin
-    bump t.c.c_side_traversals;
-    let sib = Page.side_ptr p in
-    assert (sib <> Page.nil);
-    maybe_schedule_posting t ~level:(Page.level p) ~container:(Page.id p)
-      ~sibling:sib ~path ~key;
-    let sfr = pin t sib in
-    if (cfg t).Env.consolidation then begin
-      (* CP: latch-couple so the target cannot be de-allocated while we
-         de-reference the pointer (section 5.2.2). *)
-      latch sfr m;
-      unlatch fr m;
-      unpin t fr
-    end
-    else begin
-      (* CNS: nodes are immortal; one latch at a time suffices. *)
-      unlatch fr m;
-      unpin t fr;
-      latch sfr m
-    end;
-    side_step t ~key ~m ~path sfr
-  end
-
-(* Descend from [fr] (latched; S above [target], [mode] at [target]) to the
-   node at [target] whose directly-contained space includes [key]. Returns
-   the saved path of the levels above [target] and the latched frame. *)
-let rec descend_from t ~key ~target ~mode fr path =
-  let p = page fr in
-  let level = Page.level p in
-  let m = if level > target then Latch.S else mode in
-  let fr = side_step t ~key ~m ~path fr in
-  let p = page fr in
-  if level = target then (path, fr)
-  else begin
-    let i =
-      match Node.floor_entry p key with
-      | Some i -> i
-      | None ->
-          (* Index nodes always carry a least separator <= every key they
-             directly contain (the leftmost uses ""). *)
-          assert false
-    in
-    let _, child = Node.index_term p i in
-    let path =
-      Saved_path.push path ~pid:(Page.id p) ~level ~state_id:(Page.lsn p) ~slot:i
-    in
-    let cfr = pin t child in
-    let cm = if level - 1 > target then Latch.S else mode in
-    if (cfg t).Env.consolidation then begin
-      latch cfr cm;
-      unlatch fr m;
-      unpin t fr
-    end
-    else begin
-      unlatch fr m;
-      unpin t fr;
-      latch cfr cm
-    end;
-    descend_from t ~key ~target ~mode cfr path
-  end
-
-(* Entry point: latch the root with the right mode for its current level
-   and descend. *)
-let rec descend t ~key ~target ~mode =
-  if target = 0 then bump t.c.c_descents;
-  let fr = pin t t.root in
-  let guess_above = Page.level (page fr) > target in
-  let m = if guess_above then Latch.S else mode in
-  latch fr m;
-  if (Page.level (page fr) > target) <> guess_above then begin
-    (* The root grew between the unlatched peek and the latch. *)
-    unlatch fr m;
-    unpin t fr;
-    descend t ~key ~target ~mode
-  end
-  else descend_from t ~key ~target ~mode fr Saved_path.empty
-
-(* ---------- optimistic (latch-free) descent ----------
-
-   Searches and range scans normally descend without taking a single
-   latch: each node's frame latch carries a version word (twice the page
-   LSN when quiescent, odd while a writer holds the X latch — see
-   Pitree_sync.Version), and a reader proves each node read was
-   consistent by snapshotting the word before reading and re-checking it
-   before acting on anything it read. A failed check raises
-   [Olc.Restart]; the whole descent restarts from the root, and after
-   [Olc.max_restarts] failures the reader falls back to the classic
-   S-latched path, so pathological write storms degrade to the paper's
-   protocol instead of livelocking.
-
-   Pins are still taken (frames must not be recycled under the reader),
-   but the root — the hottest pin in the tree, taken by every descent —
-   comes from a permanently pinned cached frame, so the root costs one
-   atomic increment instead of a shard mutex.
-
-   Under the CP invariant a node reached through a validated pointer can
-   still be de-allocated before the reader pins it ("de-allocation is a
-   node update", section 5.2.2 strategy (b), bumps the victim's LSN and
-   hence its version word — but the reader has not latched anything, so
-   nothing blocks the consolidator). Defence: after pinning the child,
-   re-validate the PARENT's word; unchanged means the index term (or
-   side pointer) still stood after the pin, and a pinned frame cannot be
-   recycled, so the child is (or safely was) the node the pointer named. *)
-
-let olc_enabled t = (cfg t).Env.olc_reads
-let olc_snapshot = Olc.snapshot
-let olc_validate = Olc.validate
-
-(* The permanently pinned root frame. Keyed by pool identity: [crash]
-   replaces the pool object, orphaning the old entry (and its pin) along
-   with the pool itself. The CAS race on first installation is benign —
-   the loser just drops the extra pin it took for the cache. *)
-let pin_root t =
-  let pl = pool t in
-  match Atomic.get t.root_cache with
-  | Some (p, fr) when p == pl ->
-      Buffer_pool.repin pl fr;
-      fr
-  | stale ->
-      let fr = pin t t.root in
-      Buffer_pool.repin pl fr (* the cache's own, permanent pin *);
-      if not (Atomic.compare_and_set t.root_cache stale (Some (pl, fr))) then
-        unpin t fr;
-      fr
-
-(* One node of the optimistic descent: decide where [key] routes without
-   holding any latch, proving every pointer read against the version word
-   before returning it. *)
-let olc_eval ~key fr =
-  let v = olc_snapshot fr in
-  let p = page fr in
-  (* A stale pointer can land on a page a consolidation already freed
-     (free-listed pages keep their latch and version word): explicitly a
-     transient state — restart, don't decode free-list bytes as a node. *)
-  Olc.live p;
-  (* The routing reads below parse unvalidated bytes; [Olc.decoding]
-     turns a decode blow-up on a torn snapshot into a restart while
-     letting the same failure on stable bytes escape as a real bug. *)
-  Olc.decoding fr v @@ fun () ->
-  if not (Node.contains p key) then begin
-    (* Capture everything the side chase will act on (the root's level
-       can change in place) BEFORE the validation that proves the reads
-       were not torn. *)
-    let sib = Page.side_ptr p in
-    let level = Page.level p in
-    olc_validate fr v;
-    if sib = Page.nil then raise Olc.Restart;
-    `Next (v, sib, `Side level)
-  end
-  else if Page.level p = 0 then begin
-    (* Prove this really is the leaf directly containing [key] before the
-       caller reads records out of it. *)
-    olc_validate fr v;
-    `Leaf v
-  end
-  else
-    match Node.floor_entry p key with
-    | None -> raise Olc.Restart (* torn read: index nodes have a least sep *)
-    | Some i ->
-        let _, child = Node.index_term p i in
-        olc_validate fr v;
-        `Next (v, child, `Child)
-
-(* Descend from the pinned [fr] to the leaf directly containing [key].
-   Returns the leaf pinned (never latched) with a validated snapshot of
-   its version word. Owns [fr]'s pin: every exit path, including every
-   raise, drops every pin this descent still holds. *)
-let rec olc_step t ~key fr =
-  match olc_eval ~key fr with
-  | exception e ->
-      unpin t fr;
-      raise e
-  | `Leaf v -> (fr, v)
-  | `Next (v, next, kind) -> (
-      let nfr =
-        match pin t next with
-        | nfr -> nfr
-        | exception e ->
-            unpin t fr;
-            raise e
-      in
-      (* CP de-allocation defence (see the section comment): re-validate
-         the parent now that the child is pinned. *)
-      match olc_validate fr v with
-      | exception e ->
-          unpin t nfr;
-          unpin t fr;
-          raise e
-      | () ->
-          (match kind with
-          | `Side level ->
-              bump t.c.c_side_traversals;
-              (* Only validated side chases reach here, so the posting
-                 queue never sees a pid (or level) from a torn read. *)
-              maybe_schedule_posting t ~level
-                ~container:(Page.id (page fr))
-                ~sibling:next ~path:Saved_path.empty ~key
-          | `Child -> ());
-          unpin t fr;
-          olc_step t ~key nfr)
-
-(* Counted restarts + latched fallback, on the shared Olc loop. *)
-let olc_protected t ~attempt ~fallback =
-  Olc.protect ~restarts:t.c.c_olc_restarts ~fallbacks:t.c.c_olc_fallbacks
-    ~attempt ~fallback ()
-
 (* ---------- node split (section 3.2.1) ---------- *)
 
 (* Split the node in [fr] (X-latched, pinned) under [txn]. Returns
-   (separator, sibling frame) with the sibling pinned but not latched —
-   nothing else can reach it until the caller releases [fr]'s X latch.
+   (separator, sibling pid); nothing else can reach the sibling until the
+   caller releases [fr]'s X latch.
    Steps 1-5 of section 3.2.1; step 6 (posting) is the caller's business
    because its timing depends on the transactional context. *)
 (* Pick the split position and separator. Normally the byte-balanced
@@ -626,14 +260,16 @@ let split_node t txn fr ~pending =
     (Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.id q });
   if Page.level p = 0 then bump t.c.c_leaf_splits else bump t.c.c_index_splits;
   Crash_point.hit "blink.split.linked";
-  (sep, qfr)
+  let q = Page.id q in
+  unpin t qfr;
+  (sep, q)
 
 (* Root growth (section 5.3 Space Test, root case). [fr] is the root,
    X-latched and full. The root's contents move to fresh nodes one level
    down; the root itself becomes an index node one level up and never
-   moves. Returns the two children (pinned, unlatched): (left, sep, right). *)
+   moves. Returns the two children: (left, sep, right). *)
 let grow_root t txn fr ~pending =
-  let sep, qfr = split_node t txn fr ~pending in
+  let sep, q = split_node t txn fr ~pending in
   let p = page fr in
   let n = Node.entry_count p in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
@@ -646,7 +282,7 @@ let grow_root t txn fr ~pending =
          { slot = Node.slot_of_entry i; cell = Page.get p (Node.slot_of_entry i) })
   done;
   update t txn lfr
-    (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.id (page qfr) });
+    (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = q });
   (* Strip the root and raise it one level. *)
   let cells = Page.fold p ~init:[] ~f:(fun acc _ c -> c :: acc) in
   update t txn fr (Page_op.Clear { cells = List.rev cells });
@@ -672,224 +308,13 @@ let grow_root t txn fr ~pending =
     (Page_op.Insert_slot
        {
          slot = 2;
-         cell = Node.index_term_cell ~sep ~child:(Page.id (page qfr));
+         cell = Node.index_term_cell ~sep ~child:q;
        });
   bump t.c.c_root_splits;
   Crash_point.hit "blink.root.grown";
-  (lfr, sep, qfr)
-
-(* ---------- the index-term posting action (section 5.3) ---------- *)
-
-(* Step 1 (Search): reach the node at [level] whose directly-contained
-   space includes [key], U-latched — reusing the saved path when state
-   identifiers allow (section 5.2). *)
-let search_for_posting t ~key ~level ~path =
-  let consolidation = (cfg t).Env.consolidation in
-  (* Candidate re-entry points, nearest level first. *)
-  let candidates =
-    List.filter (fun e -> e.Saved_path.level >= level) path
-    |> List.sort (fun a b -> compare a.Saved_path.level b.Saved_path.level)
-  in
-  let from_root () =
-    bump t.c.c_full_retraversals;
-    let _, fr = descend t ~key ~target:level ~mode:Latch.U in
-    fr
-  in
-  let rec try_candidates = function
-    | [] -> from_root ()
-    | e :: rest -> (
-        match pin t e.Saved_path.pid with
-        | exception Not_found -> try_candidates rest
-        | fr
-          when consolidation
-               && (let w = Version.peek (Latch.version fr.Buffer_pool.latch) in
-                   (not (Version.is_locked w)) && not (Saved_path.matches e ~version:w))
-          ->
-            (* Latch-free rejection: an even version word that disagrees
-               with the remembered state identifier proves the node has
-               changed — no point latching it just to discover that. (An
-               odd word proves nothing either way; fall through to the
-               latched check.) *)
-            unpin t fr;
-            try_candidates rest
-        | fr ->
-            let m = if e.Saved_path.level = level then Latch.U else Latch.S in
-            latch fr m;
-            let p = page fr in
-            let usable =
-              if consolidation then
-                (* CP + "de-allocation is a node update": an unchanged state
-                   identifier proves the node is still the one we saw
-                   (section 5.2.2 strategy (b)). *)
-                Page.lsn p = e.Saved_path.state_id
-              else
-                (* CNS: nodes are immortal; any index node at the right
-                   level can be re-searched. *)
-                Page.kind p = Page.Index && Page.level p = e.Saved_path.level
-            in
-            if not usable then begin
-              unlatch fr m;
-              unpin t fr;
-              try_candidates rest
-            end
-            else begin
-              bump t.c.c_path_reuse_hits;
-              if e.Saved_path.level = level then
-                side_step t ~key ~m:Latch.U ~path:Saved_path.empty fr
-              else
-                let _, fr =
-                  descend_from t ~key ~target:level ~mode:Latch.U fr
-                    Saved_path.empty
-                in
-                fr
-            end)
-  in
-  try_candidates candidates
-
-(* Space Test (section 5.3 step 3): make room in the X-latched [fr] for
-   [need] bytes at [poskey], splitting (or growing the root) as necessary.
-   Returns the X-latched frame whose space contains [poskey]. Splits
-   performed here schedule their own postings through [on_split]. *)
-let rec ensure_space t txn fr ~poskey ~need ~on_split =
-  let p = page fr in
-  if Page.will_fit p (need + Page.slot_overhead) then fr
-  else if Page.id p = t.root then begin
-    let rank0 = rank p in
-    let lfr, sep, qfr = grow_root t txn fr ~pending:(Some poskey) in
-    (* Descend one level to whichever new node owns [poskey]. *)
-    let target, other =
-      if String.compare poskey sep < 0 then (lfr, qfr) else (qfr, lfr)
-    in
-    latch target Latch.X;
-    unpin t other;
-    unlatch_at rank0 fr Latch.X;
-    unpin t fr;
-    ensure_space t txn target ~poskey ~need ~on_split
-  end
-  else begin
-    let sep, qfr = split_node t txn fr ~pending:(Some poskey) in
-    on_split ~node:fr ~sep ~sibling:(Page.id (page qfr));
-    if String.compare poskey sep < 0 then begin
-      unpin t qfr;
-      ensure_space t txn fr ~poskey ~need ~on_split
-    end
-    else begin
-      latch qfr Latch.X;
-      unlatch fr Latch.X;
-      unpin t fr;
-      ensure_space t txn qfr ~poskey ~need ~on_split
-    end
-  end
-
-(* The complete posting action. *)
-let do_post_action t ~level ~path ~address ~key =
-  let finished = ref false in
-  let deferred = ref [] in
-  Atomic_action.run (mgr t) (fun txn ->
-      (* 1. Search. *)
-      let fr = search_for_posting t ~key ~level ~path in
-      let release_u () =
-        unlatch fr Latch.U;
-        unpin t fr
-      in
-      (* 2. Verify Split: the tree state is testable; posting may already
-         be done or no longer needed (section 5.1). *)
-      if Node.find_child_term (page fr) address <> None then begin
-        release_u ();
-        bump t.c.c_postings_noop
-      end
-      else begin
-        match Node.floor_entry (page fr) key with
-        | None ->
-            release_u ();
-            bump t.c.c_postings_noop
-        | Some i ->
-            let _, child = Node.index_term (page fr) i in
-            let cfr = pin t child in
-            latch cfr Latch.S;
-            let cp = page cfr in
-            if Node.contains cp key then begin
-              (* The child directly contains the key: the split we were
-                 told about has been consolidated away. *)
-              unlatch cfr Latch.S;
-              unpin t cfr;
-              release_u ();
-              bump t.c.c_postings_noop
-            end
-            else begin
-              (* The child delegates the key's space to its sibling: that
-                 sibling is the node whose term we post (it may differ from
-                 ADDRESS if splits raced us). *)
-              let sib = Page.side_ptr cp in
-              let sep =
-                match (Node.fence cp).Node.high with
-                | Some h -> h
-                | None -> assert false (* cannot delegate without a bound *)
-              in
-              unlatch cfr Latch.S;
-              unpin t cfr;
-              if Node.find_child_term (page fr) sib <> None then begin
-                release_u ();
-                bump t.c.c_postings_noop
-              end
-              else begin
-                promote fr;
-                Crash_point.hit "blink.post.latched";
-                (* Injected bug 2: post a separator one byte short, so the
-                   index term claims space the child is not responsible
-                   for (well-formedness condition 3). *)
-                let sep =
-                  if !injected_bug = Bad_post_sep && String.length sep > 1
-                  then String.sub sep 0 (String.length sep - 1)
-                  else sep
-                in
-                (* 3. Space Test. *)
-                let cell = Node.index_term_cell ~sep ~child:sib in
-                let this_level = Page.level (page fr) in
-                let on_split ~node ~sep ~sibling =
-                  deferred :=
-                    `Post (this_level, Page.id (page node), sep, sibling)
-                    :: !deferred
-                in
-                let fr =
-                  ensure_space t txn fr ~poskey:sep
-                    ~need:(String.length cell) ~on_split
-                in
-                (* 4. Update NODE. *)
-                let slot =
-                  match Node.find (page fr) sep with
-                  | `Found _ ->
-                      (* A term with this separator exists but points
-                         elsewhere; posting is not needed after all. *)
-                      None
-                  | `Not_found i -> Some (Node.slot_of_entry i)
-                in
-                (match slot with
-                | Some slot ->
-                    update t txn fr (Page_op.Insert_slot { slot; cell });
-                    finished := true
-                | None -> bump t.c.c_postings_noop);
-                Crash_point.hit "blink.post.updated";
-                unlatch fr Latch.X;
-                unpin t fr
-              end
-            end
-      end);
-  if !finished then bump t.c.c_postings_completed;
-  (* Postings for index-node splits performed by the space test are
-     scheduled only now, after the action committed (section 3.2.1 step 6). *)
-  List.iter
-    (fun (`Post (lvl, container, sep, sibling)) ->
-      (* The saved path above [lvl] is still a fine starting hint. *)
-      maybe_schedule_posting t ~level:lvl ~container ~sibling
-        ~path:(Saved_path.above path lvl) ~key:sep)
-    !deferred;
-  Crash_point.hit "blink.post.done"
-
-(* Tie the forward knot. *)
-let () =
-  post_action :=
-    fun t ~level ~path ~address ~key -> do_post_action t ~level ~path ~address ~key
+  let l = Page.id (page lfr) in
+  unpin t lfr;
+  (l, sep, q)
 
 (* ---------- leaf split orchestration (section 4.2) ---------- *)
 
@@ -909,7 +334,7 @@ let split_leaf_independent t ~key ~need =
            on exactly the records to be moved. *)
         let rec attempt tries =
           if tries > 200 then failwith "blink: split cannot acquire move locks";
-          let path, fr = descend t ~key ~target:0 ~mode:Latch.U in
+          let path, fr = P.descend t.proto ~key ~target:0 ~mode:Latch.U in
           let p = page fr in
           if
             Node.entry_count p < 1
@@ -963,17 +388,13 @@ let split_leaf_independent t ~key ~need =
                 promote fr;
                 if Page.id p = t.root then begin
                   let rank0 = rank p in
-                  let lfr, _, qfr = grow_root t txn fr ~pending:(Some key) in
-                  unpin t lfr;
-                  unpin t qfr;
+                  ignore (grow_root t txn fr ~pending:(Some key));
                   unlatch_at rank0 fr Latch.X;
                   unpin t fr;
                   `Done
                 end
                 else begin
-                  let sep, qfr = split_node t txn fr ~pending:(Some key) in
-                  let sibling = Page.id (page qfr) in
-                  unpin t qfr;
+                  let sep, sibling = split_node t txn fr ~pending:(Some key) in
                   unlatch fr Latch.X;
                   unpin t fr;
                   `Split (path, Page.id p, sep, sibling)
@@ -999,7 +420,7 @@ let split_leaf_independent t ~key ~need =
     | `Split (path, pid, sep, sibling) ->
         Crash_point.hit "blink.split.committed";
         (* Step 6: schedule the posting in a separate atomic action. *)
-        maybe_schedule_posting t ~level:0 ~container:pid ~sibling ~path ~key:sep
+        P.schedule_posting t.proto ~level:0 ~container:pid ~sibling ~path ~key:sep
   in
   go 0
 
@@ -1011,7 +432,7 @@ let split_leaf_independent t ~key ~need =
 let split_leaf_in_txn t txn ~key ~need =
   let rec go tries =
     if tries > 100 then failwith "blink: move lock starvation (in txn)";
-    let path, fr = descend t ~key ~target:0 ~mode:Latch.U in
+    let path, fr = P.descend t.proto ~key ~target:0 ~mode:Latch.U in
     let p = page fr in
     if Node.entry_count p < 1 || Page.will_fit p (need + Page.slot_overhead)
     then begin
@@ -1032,23 +453,19 @@ let split_leaf_in_txn t txn ~key ~need =
         promote fr;
         if Page.id p = t.root then begin
           let rank0 = rank p in
-          let lfr, _, qfr = grow_root t txn fr ~pending:(Some key) in
-          unpin t lfr;
-          unpin t qfr;
+          ignore (grow_root t txn fr ~pending:(Some key));
           unlatch_at rank0 fr Latch.X;
           unpin t fr
         end
         else begin
-          let sep, qfr = split_node t txn fr ~pending:(Some key) in
+          let sep, sibling = split_node t txn fr ~pending:(Some key) in
           let pid = Page.id p in
-          let sibling = Page.id (page qfr) in
-          unpin t qfr;
           unlatch fr Latch.X;
           unpin t fr;
           (* Defer the posting to commit; abort undoes the split and no
              term must ever be posted (section 4.2.2). *)
           Txn.add_on_commit txn (fun () ->
-              maybe_schedule_posting t ~level:0 ~container:pid ~sibling ~path
+              P.schedule_posting t.proto ~level:0 ~container:pid ~sibling ~path
                 ~key:sep)
         end
       end
@@ -1126,7 +543,7 @@ and insert_direct_once ?txn t ~key ~value =
   with_autocommit t txn (fun txn ->
       let rec attempt tries =
         if tries > 200 then failwith "blink.insert: too many restarts";
-        let _, fr = descend t ~key ~target:0 ~mode:Latch.U in
+        let _, fr = P.descend t.proto ~key ~target:0 ~mode:Latch.U in
         let p = page fr in
         let pid = Page.id p in
         if not (try_update_locks t txn ~pid ~key) then begin
@@ -1216,7 +633,7 @@ let apply_batch t (reqs : (string * string) array) =
   let applied = ref 0 in
   match
     let key0, _ = reqs.(0) in
-    let _, fr = descend t ~key:key0 ~target:0 ~mode:Latch.U in
+    let _, fr = P.descend t.proto ~key:key0 ~target:0 ~mode:Latch.U in
     let p = page fr in
     let pid = Page.id p in
     let f = Node.fence p in
@@ -1291,18 +708,15 @@ let apply_batch t (reqs : (string * string) array) =
   | exception e ->
       if Txn.is_active txn then Txn_mgr.abort (mgr t) txn;
       raise e
-
-let () =
-  attach_combiner_fwd :=
-    fun t ->
-      let c = cfg t in
-      if c.Env.combine then
-        t.combiner <-
-          Some
-            (Combine.create ~slots:c.Env.combine_slots
-               ~window_us:c.Env.combine_window_us ~early_res:Applied
-               ~apply:(fun reqs -> apply_batch t reqs)
-               ())
+let attach_combiner t =
+  let c = cfg t in
+  if c.Env.combine then
+    t.combiner <-
+      Some
+        (Combine.create ~slots:c.Env.combine_slots ~window_us:c.Env.combine_window_us
+           ~early_res:Applied
+           ~apply:(fun reqs -> apply_batch t reqs)
+           ())
 
 let insert ?txn t ~key ~value =
   bump t.c.c_inserts;
@@ -1315,297 +729,18 @@ let insert ?txn t ~key ~value =
           insert_direct t ~key ~value)
   | _ -> insert_direct ?txn t ~key ~value
 
-let consolidate_action : (t -> key:string -> level:int -> unit) ref =
-  ref (fun _ ~key:_ ~level:_ -> assert false)
-
-let maybe_schedule_consolidation t ~key ~pid ~level =
-  if (cfg t).Env.consolidation && pid <> t.root then begin
-    Mutex.lock t.pending_mu;
-    let fresh = not (Hashtbl.mem t.pending_consol pid) in
-    if fresh then Hashtbl.replace t.pending_consol pid ();
-    Mutex.unlock t.pending_mu;
-    if fresh then
-      Env.schedule t.env (fun () ->
-          Mutex.lock t.pending_mu;
-          Hashtbl.remove t.pending_consol pid;
-          Mutex.unlock t.pending_mu;
-          !consolidate_action t ~key ~level)
-  end
-
 let underutilized p = Node.utilization p < 0.25
-
-let delete ?txn t key =
-  bump t.c.c_deletes;
-  autocommit_deadlock_retry ?txn t ~tries:0 @@ fun () ->
-  with_autocommit t txn (fun txn ->
-      let rec attempt tries =
-        if tries > 200 then failwith "blink.delete: too many restarts";
-        let _, fr = descend t ~key ~target:0 ~mode:Latch.U in
-        let p = page fr in
-        let pid = Page.id p in
-        match Node.find p key with
-        | `Not_found _ ->
-            unlatch fr Latch.U;
-            unpin t fr;
-            false
-        | `Found i ->
-            if not (try_update_locks t txn ~pid ~key) then begin
-              unlatch fr Latch.U;
-              unpin t fr;
-              bump t.c.c_lock_restarts;
-              blocking_update_locks t txn ~pid ~key;
-              attempt (tries + 1)
-            end
-            else begin
-              promote fr;
-              let cell = Page.get p (Node.slot_of_entry i) in
-              update_record t txn fr
-                (Page_op.Delete_slot { slot = Node.slot_of_entry i; cell })
-                ~comp:(Logical.Put { cell });
-              txn.Txn.updated_nodes <- (t.root, pid) :: txn.Txn.updated_nodes;
-              let low = underutilized p in
-              unlatch fr Latch.X;
-              unpin t fr;
-              if low then maybe_schedule_consolidation t ~key ~pid ~level:0;
-              true
-            end
-      in
-      attempt 0)
-
-(* The classic S-latched search — still the fallback when optimistic
-   descents keep failing, and the whole path when [olc_reads] is off. *)
-let find_latched t key =
-  let _, fr = descend t ~key ~target:0 ~mode:Latch.S in
-  let p = page fr in
-  let r =
-    match Node.find p key with
-    | `Found i -> Some (snd (Node.record p i))
-    | `Not_found _ -> None
-  in
-  unlatch fr Latch.S;
-  unpin t fr;
-  r
-
-let find_olc t key =
-  let fr, v = olc_step t ~key (pin_root t) in
-  match
-    let p = page fr in
-    let r =
-      Olc.decoding fr v (fun () ->
-          match Node.find p key with
-          | `Found i -> Some (snd (Node.record p i))
-          | `Not_found _ -> None)
-    in
-    (* The record bytes were copied out above; prove they were not torn
-       before anyone sees them. *)
-    olc_validate fr v;
-    r
-  with
-  | r ->
-      unpin t fr;
-      r
-  | exception e ->
-      unpin t fr;
-      raise e
-
-(* Locked read: the record's S lock is taken under the no-wait rule (only
-   try_acquire while latched; on failure wait latch-free, then revalidate
-   by re-descending) and held to the transaction's commit — repeatable
-   reads for explicit transactions. *)
-let find_in_txn ~txn t key =
-  let rec attempt tries =
-    if tries > 200 then failwith "blink.find: too many restarts";
-    let _, fr = descend t ~key ~target:0 ~mode:Latch.S in
-    if
-      Lock_manager.try_acquire (locks t) ~owner:txn.Txn.id (record_res t key)
-        Lock_mode.S
-    then begin
-      let p = page fr in
-      let r =
-        match Node.find p key with
-        | `Found i -> Some (snd (Node.record p i))
-        | `Not_found _ -> None
-      in
-      unlatch fr Latch.S;
-      unpin t fr;
-      r
-    end
-    else begin
-      unlatch fr Latch.S;
-      unpin t fr;
-      bump t.c.c_lock_restarts;
-      Lock_manager.acquire (locks t) ~owner:txn.Txn.id (record_res t key)
-        Lock_mode.S;
-      attempt (tries + 1)
-    end
-  in
-  attempt 0
-
-let find ?txn t key =
-  bump t.c.c_searches;
-  match txn with
-  | Some txn -> find_in_txn ~txn t key
-  | None ->
-      let r =
-        if olc_enabled t then
-          olc_protected t
-            ~attempt:(fun () -> find_olc t key)
-            ~fallback:(fun () -> find_latched t key)
-        else find_latched t key
-      in
-      ignore (Env.drain t.env);
-      r
-
-(* Records of [p] in [[start, high)), in key order. *)
-let collect_batch ~start ~beyond p =
-  Node.(
-    let n = entry_count p in
-    let rec collect i acc =
-      if i >= n then List.rev acc
-      else
-        let k, v = record p i in
-        if String.compare k start < 0 then collect (i + 1) acc
-        else if beyond k then List.rev acc
-        else collect (i + 1) ((k, v) :: acc)
-    in
-    collect 0 [])
-
-let range_latched t ~start ~high ~init ~f =
-  let beyond k = match high with None -> false | Some h -> String.compare k h >= 0 in
-  let _, fr = descend t ~key:start ~target:0 ~mode:Latch.S in
-  let rec walk fr acc =
-    let p = page fr in
-    (* Copy the in-range records out, then release before calling [f]. *)
-    let batch = collect_batch ~start ~beyond p in
-    let fence_high = (Node.fence p).Node.high in
-    let sib = Page.side_ptr p in
-    let continue_ =
-      match fence_high with
-      | None -> false
-      | Some h -> (not (beyond h)) && sib <> Page.nil
-    in
-    let next =
-      if continue_ then begin
-        let sfr = pin t sib in
-        if (cfg t).Env.consolidation then begin
-          latch sfr Latch.S;
-          unlatch fr Latch.S;
-          unpin t fr
-        end
-        else begin
-          unlatch fr Latch.S;
-          unpin t fr;
-          latch sfr Latch.S
-        end;
-        Some sfr
-      end
-      else begin
-        unlatch fr Latch.S;
-        unpin t fr;
-        None
-      end
-    in
-    let acc = List.fold_left (fun acc (k, v) -> f acc k v) acc batch in
-    match next with None -> acc | Some sfr -> walk sfr acc
-  in
-  walk fr init
-
-(* Latch-free scan. Per-leaf validation is not enough here: a scan that
-   commits leaf batches one at a time can miss a put into a leaf it has
-   passed while observing a later put into a leaf still ahead, an
-   inversion no single linearization point explains (the latched scan's
-   latch coupling forbids it for adjacent leaves, which is why it never
-   shows there). So the whole range is read as ONE optimistic unit:
-   every visited leaf stays pinned (pins block both eviction and frame
-   reuse, keeping each version word bound to its page) with the snapshot
-   its batch was read under, and after the last leaf the entire chain is
-   re-proved in one pass. Success means no visited leaf changed between
-   its read and that pass — every batch was simultaneously current at
-   the final validation, making the scan a point-in-time read. Any
-   failed proof restarts the scan from [start]; a chain too long for the
-   pool raises [Pool_exhausted] (dropping all pins) and, like every
-   other transient, falls back to the latched protocol after the retry
-   budget. *)
-let range_olc t ~start ~high ~init ~f =
-  let beyond k = match high with None -> false | Some h -> String.compare k h >= 0 in
-  let attempt () =
-    (* Visited leaves, pinned, newest first, each with the version its
-       batch must still match at the end. A frame enters the chain the
-       moment this attempt owns its pin, so the [exception] arm below
-       can always release everything. *)
-    let chain = ref [] in
-    let unpin_chain () = List.iter (fun (fr, _) -> unpin t fr) !chain in
-    let snapshot_into_chain fr =
-      chain := (fr, 0) :: !chain;
-      let v = olc_snapshot fr in
-      chain := (fr, v) :: List.tl !chain;
-      v
-    in
-    match
-      let fr0, _ = olc_step t ~key:start (pin_root t) in
-      let rec leaves fr pos batches =
-        let v = snapshot_into_chain fr in
-        let p = page fr in
-        (* The descent (or the previous leaf's side pointer) proved [fr]
-           was the right leaf THEN; re-prove it under this snapshot — in
-           the window in between the root can grow (leaf becomes index,
-           in place) or a split can shrink the fence past [pos]. The
-           final chain pass would catch a stale read anyway; failing
-           here is just cheaper than scanning garbage. *)
-        Olc.live p;
-        (* Decode region for THIS leaf only (the recursion happens outside
-           it so a deeper failure is judged against its own frame). *)
-        let batches, next =
-          Olc.decoding fr v (fun () ->
-              if Page.level p <> 0 || not (Node.contains p pos) then
-                raise Olc.Restart;
-              let batches = collect_batch ~start:pos ~beyond p :: batches in
-              match (Node.fence p).Node.high with
-              | None -> (batches, None)
-              | Some h when beyond h || Page.side_ptr p = Page.nil ->
-                  (batches, None)
-              | Some h -> (batches, Some (Page.side_ptr p, h)))
-        in
-        match next with
-        | None -> batches
-        | Some (sib, h) ->
-            bump t.c.c_side_traversals;
-            leaves (pin t sib) h batches
-      in
-      let batches = leaves fr0 start [] in
-      List.iter (fun (fr, v) -> olc_validate fr v) !chain;
-      batches
-    with
-    | exception e ->
-        unpin_chain ();
-        raise e
-    | batches ->
-        unpin_chain ();
-        List.fold_left
-          (fun acc batch ->
-            List.fold_left (fun acc (k, v) -> f acc k v) acc batch)
-          init (List.rev batches)
-  in
-  olc_protected t ~attempt
-    ~fallback:(fun () -> range_latched t ~start ~high ~init ~f)
-
-let range t ?low ?high ~init ~f =
-  let start = Option.value low ~default:"" in
-  if olc_enabled t then range_olc t ~start ~high ~init ~f
-  else range_latched t ~start ~high ~init ~f
-
-let count t = range t ?low:None ?high:None ~init:0 ~f:(fun n _ _ -> n + 1)
 
 (* ---------- consolidation (section 3.3) ---------- *)
 
-let do_consolidate t ~key ~level =
+let rec do_consolidate t ~key ~level =
   let lk = locks t in
   let page_undo = (cfg t).Env.page_oriented_undo in
   let skipped () = bump t.c.c_consolidations_skipped in
   Atomic_action.run (mgr t) (fun txn ->
         (* Find the parent whose space contains [key]; the candidate
            contained node C is the child the key routes to. *)
-        let _, pfr = descend t ~key ~target:(level + 1) ~mode:Latch.U in
+        let _, pfr = P.descend t.proto ~key ~target:(level + 1) ~mode:Latch.U in
         let pp = page pfr in
         let give_up () =
           unlatch pfr Latch.U;
@@ -1734,22 +869,268 @@ let do_consolidate t ~key ~level =
               release_all ();
               (* The parent may now be under-utilized: consolidation
                  escalates up the tree like splitting does (section 5). *)
-              if underutilized pp && Page.id pp <> t.root then
-                maybe_schedule_consolidation t ~key ~pid:(Page.id pp)
-                  ~level:(level + 1)
+              if underutilized pp then
+                schedule_consolidation t ~key ~pid:(Page.id pp) ~level:(level + 1)
             end)
 
-let () = consolidate_action := fun t ~key ~level -> do_consolidate t ~key ~level
 
+and schedule_consolidation t ~key ~pid ~level =
+  P.schedule_consolidation t.proto ~pid (fun () -> do_consolidate t ~key ~level)
+
+let delete ?txn t key =
+  bump t.c.c_deletes;
+  autocommit_deadlock_retry ?txn t ~tries:0 @@ fun () ->
+  with_autocommit t txn (fun txn ->
+      let rec attempt tries =
+        if tries > 200 then failwith "blink.delete: too many restarts";
+        let _, fr = P.descend t.proto ~key ~target:0 ~mode:Latch.U in
+        let p = page fr in
+        let pid = Page.id p in
+        match Node.find p key with
+        | `Not_found _ ->
+            unlatch fr Latch.U;
+            unpin t fr;
+            false
+        | `Found i ->
+            if not (try_update_locks t txn ~pid ~key) then begin
+              unlatch fr Latch.U;
+              unpin t fr;
+              bump t.c.c_lock_restarts;
+              blocking_update_locks t txn ~pid ~key;
+              attempt (tries + 1)
+            end
+            else begin
+              promote fr;
+              let cell = Page.get p (Node.slot_of_entry i) in
+              update_record t txn fr
+                (Page_op.Delete_slot { slot = Node.slot_of_entry i; cell })
+                ~comp:(Logical.Put { cell });
+              txn.Txn.updated_nodes <- (t.root, pid) :: txn.Txn.updated_nodes;
+              let low = underutilized p in
+              unlatch fr Latch.X;
+              unpin t fr;
+              if low then schedule_consolidation t ~key ~pid ~level:0;
+              true
+            end
+      in
+      attempt 0)
+
+(* The classic S-latched search — still the fallback when optimistic
+   descents keep failing, and the whole path when [olc_reads] is off. *)
+let find_latched t key =
+  let _, fr = P.descend t.proto ~key ~target:0 ~mode:Latch.S in
+  let p = page fr in
+  let r =
+    match Node.find p key with
+    | `Found i -> Some (snd (Node.record p i))
+    | `Not_found _ -> None
+  in
+  unlatch fr Latch.S;
+  unpin t fr;
+  r
+
+let find_olc t key =
+  let fr, v = P.olc_descend t.proto ~key in
+  match
+    let p = page fr in
+    let r =
+      Olc.decoding fr v (fun () ->
+          match Node.find p key with
+          | `Found i -> Some (snd (Node.record p i))
+          | `Not_found _ -> None)
+    in
+    (* The record bytes were copied out above; prove they were not torn
+       before anyone sees them. *)
+    Olc.validate fr v;
+    r
+  with
+  | r ->
+      unpin t fr;
+      r
+  | exception e ->
+      unpin t fr;
+      raise e
+
+(* Locked read: the record's S lock is taken under the no-wait rule (only
+   try_acquire while latched; on failure wait latch-free, then revalidate
+   by re-descending) and held to the transaction's commit — repeatable
+   reads for explicit transactions. *)
+let find_in_txn ~txn t key =
+  let rec attempt tries =
+    if tries > 200 then failwith "blink.find: too many restarts";
+    let _, fr = P.descend t.proto ~key ~target:0 ~mode:Latch.S in
+    if
+      Lock_manager.try_acquire (locks t) ~owner:txn.Txn.id (record_res t key)
+        Lock_mode.S
+    then begin
+      let p = page fr in
+      let r =
+        match Node.find p key with
+        | `Found i -> Some (snd (Node.record p i))
+        | `Not_found _ -> None
+      in
+      unlatch fr Latch.S;
+      unpin t fr;
+      r
+    end
+    else begin
+      unlatch fr Latch.S;
+      unpin t fr;
+      bump t.c.c_lock_restarts;
+      Lock_manager.acquire (locks t) ~owner:txn.Txn.id (record_res t key)
+        Lock_mode.S;
+      attempt (tries + 1)
+    end
+  in
+  attempt 0
+
+let find ?txn t key =
+  bump t.c.c_searches;
+  match txn with
+  | Some txn -> find_in_txn ~txn t key
+  | None ->
+      let r =
+        if (cfg t).Env.olc_reads then
+          P.olc_protect t.proto
+            ~attempt:(fun () -> find_olc t key)
+            ~fallback:(fun () -> find_latched t key)
+        else find_latched t key
+      in
+      ignore (Env.drain t.env);
+      r
+
+(* Records of [p] in [[start, high)), in key order. *)
+let collect_batch ~start ~beyond p =
+  Node.(
+    let n = entry_count p in
+    let rec collect i acc =
+      if i >= n then List.rev acc
+      else
+        let k, v = record p i in
+        if String.compare k start < 0 then collect (i + 1) acc
+        else if beyond k then List.rev acc
+        else collect (i + 1) ((k, v) :: acc)
+    in
+    collect 0 [])
+
+let range_latched t ~start ~high ~init ~f =
+  let beyond k = match high with None -> false | Some h -> String.compare k h >= 0 in
+  let _, fr = P.descend t.proto ~key:start ~target:0 ~mode:Latch.S in
+  let rec walk fr acc =
+    let p = page fr in
+    (* Copy the in-range records out, then release before calling [f]. *)
+    let batch = collect_batch ~start ~beyond p in
+    let fence_high = (Node.fence p).Node.high in
+    let sib = Page.side_ptr p in
+    let continue_ =
+      match fence_high with
+      | None -> false
+      | Some h -> (not (beyond h)) && sib <> Page.nil
+    in
+    let next =
+      if continue_ then begin
+        let sfr = pin t sib in
+        P.hand_over t.proto fr Latch.S sfr;
+        Some sfr
+      end
+      else begin
+        unlatch fr Latch.S;
+        unpin t fr;
+        None
+      end
+    in
+    let acc = List.fold_left (fun acc (k, v) -> f acc k v) acc batch in
+    match next with None -> acc | Some sfr -> walk sfr acc
+  in
+  walk fr init
+
+(* Latch-free scan. Per-leaf validation is not enough here: a scan that
+   commits leaf batches one at a time can miss a put into a leaf it has
+   passed while observing a later put into a leaf still ahead, an
+   inversion no single linearization point explains (the latched scan's
+   latch coupling forbids it for adjacent leaves, which is why it never
+   shows there). So the whole range is read as ONE optimistic unit:
+   every visited leaf stays pinned (pins block both eviction and frame
+   reuse, keeping each version word bound to its page) with the snapshot
+   its batch was read under, and after the last leaf the entire chain is
+   re-proved in one pass. Success means no visited leaf changed between
+   its read and that pass — every batch was simultaneously current at
+   the final validation, making the scan a point-in-time read. Any
+   failed proof restarts the scan from [start]; a chain too long for the
+   pool raises [Pool_exhausted] (dropping all pins) and, like every
+   other transient, falls back to the latched protocol after the retry
+   budget. *)
+let range_olc t ~start ~high ~init ~f =
+  let beyond k = match high with None -> false | Some h -> String.compare k h >= 0 in
+  let attempt () =
+    (* Visited leaves, pinned, newest first, each with the version its
+       batch must still match at the end. A frame enters the chain the
+       moment this attempt owns its pin, so the [exception] arm below
+       can always release everything. *)
+    let chain = ref [] in
+    let unpin_chain () = List.iter (fun (fr, _) -> unpin t fr) !chain in
+    let snapshot_into_chain fr =
+      chain := (fr, 0) :: !chain;
+      let v = Olc.snapshot fr in
+      chain := (fr, v) :: List.tl !chain;
+      v
+    in
+    match
+      let fr0, _ = P.olc_descend t.proto ~key:start in
+      let rec leaves fr pos batches =
+        let v = snapshot_into_chain fr in
+        let p = page fr in
+        (* The descent (or the previous leaf's side pointer) proved [fr]
+           was the right leaf THEN; re-prove it under this snapshot — in
+           the window in between the root can grow (leaf becomes index,
+           in place) or a split can shrink the fence past [pos]. The
+           final chain pass would catch a stale read anyway; failing
+           here is just cheaper than scanning garbage. *)
+        Olc.live p;
+        (* Decode region for THIS leaf only (the recursion happens outside
+           it so a deeper failure is judged against its own frame). *)
+        let batches, next =
+          Olc.decoding fr v (fun () ->
+              if Page.level p <> 0 || not (Node.contains p pos) then
+                raise Olc.Restart;
+              let batches = collect_batch ~start:pos ~beyond p :: batches in
+              match (Node.fence p).Node.high with
+              | None -> (batches, None)
+              | Some h when beyond h || Page.side_ptr p = Page.nil ->
+                  (batches, None)
+              | Some h -> (batches, Some (Page.side_ptr p, h)))
+        in
+        match next with
+        | None -> batches
+        | Some (sib, h) ->
+            bump (P.counters t.proto).Protocol.side_traversals;
+            leaves (pin t sib) h batches
+      in
+      let batches = leaves fr0 start [] in
+      List.iter (fun (fr, v) -> Olc.validate fr v) !chain;
+      batches
+    with
+    | exception e ->
+        unpin_chain ();
+        raise e
+    | batches ->
+        unpin_chain ();
+        List.fold_left
+          (fun acc batch ->
+            List.fold_left (fun acc (k, v) -> f acc k v) acc batch)
+          init (List.rev batches)
+  in
+  P.olc_protect t.proto ~attempt
+    ~fallback:(fun () -> range_latched t ~start ~high ~init ~f)
+
+let range t ?low ?high ~init ~f =
+  let start = Option.value low ~default:"" in
+  if (cfg t).Env.olc_reads then range_olc t ~start ~high ~init ~f
+  else range_latched t ~start ~high ~init ~f
+
+let count t = range t ?low:None ?high:None ~init:0 ~f:(fun n _ _ -> n + 1)
 
 (* ---------- logical undo (non-page-oriented UNDO) ---------- *)
-
-(* Registry of live trees by root pid, so the rollback machinery in the
-   recovery layer can dispatch logical compensations to us. The Env object
-   survives crash/recover in place, so entries registered before a crash
-   remain valid during restart recovery. *)
-let registry : (int, t) Hashtbl.t = Hashtbl.create 8
-let registry_mu = Mutex.create ()
 
 (* Apply one compensation through the access method: re-traverse to the
    leaf now holding [key]'s space, apply the inverse record operation there
@@ -1765,7 +1146,7 @@ let logical_undo t ~comp ~txn ~prev ~undo_next =
   in
   let rec go tries =
     if tries > 100 then failwith "blink: logical undo cannot make progress";
-    let _, fr = descend t ~key ~target:0 ~mode:Latch.U in
+    let _, fr = P.descend t.proto ~key ~target:0 ~mode:Latch.U in
     let p = page fr in
     let apply_clr op =
       (* Dirty (and log the full-page image) before the CLR is appended:
@@ -1837,14 +1218,53 @@ let logical_undo t ~comp ~txn ~prev ~undo_next =
   in
   go 0
 
-let register_tree t =
-  Mutex.lock registry_mu;
-  Hashtbl.replace registry t.root t;
-  Mutex.unlock registry_mu;
-  Logical.register_tree t.root (fun ~tree:_ ~comp ~txn ~prev ~undo_next ->
-      logical_undo t ~comp ~txn ~prev ~undo_next)
+(* ---------- creation ---------- *)
 
-let () = register_tree_fwd := register_tree
+(* A handle on the tree rooted at [root], with its posting body and its
+   logical-undo handler registered: recovery may need the handler to
+   roll back this tree's transactions. *)
+let attach e ~name ~root =
+  let t =
+    {
+      env = e;
+      name;
+      root;
+      c = fresh_counters ();
+      proto = P.create e ~root ~cp:(Env.config e).Env.consolidation;
+      move_granularity = `Node;
+      combiner = None;
+    }
+  in
+  P.set_post t.proto
+    (P.post t.proto
+       ~split:(fun txn fr ~pending -> split_node t txn fr ~pending:(Some pending))
+       ~grow:(fun txn fr ~pending -> grow_root t txn fr ~pending:(Some pending)));
+  Logical.register_tree root (fun ~tree:_ ~comp ~txn ~prev ~undo_next ->
+      logical_undo t ~comp ~txn ~prev ~undo_next);
+  attach_combiner t;
+  t
+
+let create e ~name =
+  let root = Env.create_tree e ~name ~kind:Page.Data ~level:0 in
+  let t = attach e ~name ~root in
+  (* Give the root its fence cell (responsible for the whole space). *)
+  Atomic_action.run (mgr t) (fun txn ->
+      let fr = pin t root in
+      latch fr Latch.X;
+      update t txn fr
+        (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
+      unlatch fr Latch.X;
+      unpin t fr);
+  t
+
+(* For file-persistent databases restarted in a fresh process: recovery may
+   need this tree's logical-undo handler BEFORE the catalog is readable, so
+   callers that persist root pids externally can pre-register. *)
+let register_for_recovery e ~root =
+  ignore (attach e ~name:(Printf.sprintf "<recovery:%d>" root) ~root : t)
+
+let open_existing e ~name =
+  Option.map (fun root -> attach e ~name ~root) (Env.find_tree e ~name)
 
 (* ---------- inspection ---------- *)
 
@@ -1957,6 +1377,7 @@ let dump t ppf =
   Format.fprintf ppf "@]"
 
 let stats t =
+  let pc = P.counters t.proto in
   {
     searches = Atomic.get t.c.c_searches;
     inserts = Atomic.get t.c.c_inserts;
@@ -1964,18 +1385,18 @@ let stats t =
     leaf_splits = Atomic.get t.c.c_leaf_splits;
     index_splits = Atomic.get t.c.c_index_splits;
     root_splits = Atomic.get t.c.c_root_splits;
-    side_traversals = Atomic.get t.c.c_side_traversals;
-    postings_scheduled = Atomic.get t.c.c_postings_scheduled;
-    postings_completed = Atomic.get t.c.c_postings_completed;
-    postings_noop = Atomic.get t.c.c_postings_noop;
+    side_traversals = Atomic.get pc.Protocol.side_traversals;
+    postings_scheduled = Atomic.get pc.Protocol.postings_scheduled;
+    postings_completed = Atomic.get pc.Protocol.postings_completed;
+    postings_noop = Atomic.get pc.Protocol.postings_noop;
     consolidations = Atomic.get t.c.c_consolidations;
     consolidations_skipped = Atomic.get t.c.c_consolidations_skipped;
-    path_reuse_hits = Atomic.get t.c.c_path_reuse_hits;
-    full_retraversals = Atomic.get t.c.c_full_retraversals;
+    path_reuse_hits = Atomic.get pc.Protocol.path_reuse_hits;
+    full_retraversals = Atomic.get pc.Protocol.full_retraversals;
     lock_restarts = Atomic.get t.c.c_lock_restarts;
-    olc_restarts = Atomic.get t.c.c_olc_restarts;
-    olc_fallbacks = Atomic.get t.c.c_olc_fallbacks;
-    descents = Atomic.get t.c.c_descents;
+    olc_restarts = Atomic.get pc.Protocol.olc_restarts;
+    olc_fallbacks = Atomic.get pc.Protocol.olc_fallbacks;
+    descents = Atomic.get pc.Protocol.descents;
   }
 
 let reset_stats t =
@@ -1984,15 +1405,16 @@ let reset_stats t =
     (fun a -> Atomic.set a 0)
     [
       c.c_searches; c.c_inserts; c.c_deletes; c.c_leaf_splits; c.c_index_splits;
-      c.c_root_splits; c.c_side_traversals; c.c_postings_scheduled;
-      c.c_postings_completed; c.c_postings_noop; c.c_consolidations;
-      c.c_consolidations_skipped; c.c_path_reuse_hits; c.c_full_retraversals;
-      c.c_lock_restarts; c.c_olc_restarts; c.c_olc_fallbacks; c.c_descents;
-    ]
+      c.c_root_splits; c.c_consolidations; c.c_consolidations_skipped;
+      c.c_lock_restarts;
+    ];
+  Protocol.reset_counters (P.counters t.proto)
+
+let pending_postings t = P.pending_postings t.proto
 
 module Internal = struct
   let leaf_for t key =
-    let _, fr = descend t ~key ~target:0 ~mode:Latch.S in
+    let _, fr = P.descend t.proto ~key ~target:0 ~mode:Latch.S in
     fr
 
   let pin_pid t pid =
@@ -2037,14 +1459,7 @@ module Internal = struct
     end
     else begin
       let sfr = pin t sib in
-      if (cfg t).Env.consolidation then begin
-        latch sfr Latch.S;
-        release_s t fr
-      end
-      else begin
-        release_s t fr;
-        latch sfr Latch.S
-      end;
+      P.hand_over t.proto fr Latch.S sfr;
       Some sfr
     end
 end

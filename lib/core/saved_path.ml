@@ -1,10 +1,10 @@
-type entry = { pid : int; level : int; state_id : int; slot : int }
+type entry = { pid : int; level : int; state_id : int }
 
 type t = entry list
 
 let empty = []
 
-let push t ~pid ~level ~state_id ~slot = { pid; level; state_id; slot } :: t
+let push t ~pid ~level ~state_id = { pid; level; state_id } :: t
 
 let level t l = List.find_opt (fun e -> e.level = l) t
 
@@ -20,5 +20,5 @@ let pp ppf t =
   Format.fprintf ppf "[%a]"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " <- ")
-       (fun ppf e -> Format.fprintf ppf "L%d:%d@%d/%d" e.level e.pid e.state_id e.slot))
+       (fun ppf e -> Format.fprintf ppf "L%d:%d@%d" e.level e.pid e.state_id))
     t

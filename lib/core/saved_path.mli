@@ -17,14 +17,13 @@ type entry = {
   pid : int;
   level : int;     (** tree level of this node (leaf = 0) *)
   state_id : int;  (** page LSN when traversed *)
-  slot : int;      (** entry index of the index term followed *)
 }
 
 type t = entry list
 
 val empty : t
 
-val push : t -> pid:int -> level:int -> state_id:int -> slot:int -> t
+val push : t -> pid:int -> level:int -> state_id:int -> t
 
 val level : t -> int -> entry option
 (** The remembered node at the given tree level, if recorded. *)

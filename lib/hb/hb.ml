@@ -13,6 +13,8 @@ module Atomic_action = Pitree_txn.Atomic_action
 module Crash_point = Pitree_util.Crash_point
 module Env = Pitree_env.Env
 module Wellformed = Pitree_core.Wellformed
+module Saved_path = Pitree_core.Saved_path
+module Protocol = Pitree_core.Protocol
 
 (* Every Crash_point.hit site in this engine, pre-registered so sweep
    harnesses can enumerate them before any fires. *)
@@ -48,25 +50,34 @@ type stats = {
    one-insert-one-txn path. *)
 type comb_res = Applied | Handback
 
+(* The protocol core over hB nodes: a node's kd-tree (slot 1) routes a
+   point here, to a sibling, or (in index nodes) to a child. *)
+module P = Protocol.Make (struct
+  type key = float array
+
+  let route p point =
+    match Hkd.walk (Hkd.decode (Page.get p 1)) point with
+    | Hkd.Sibling s -> Protocol.Side s
+    | Hkd.Child c when Page.level p > 0 -> Protocol.Child c
+    | Hkd.Here | Hkd.Child _ -> Protocol.Here
+end)
+
 type t = {
   env : Env.t;
   name : string;
   root : int;
   k : int;
+  proto : P.t;
   mutable combiner : (float array * string, comb_res) Combine.t option;
   c_inserts : int Atomic.t;
   c_searches : int Atomic.t;
   c_data_splits : int Atomic.t;
   c_index_splits : int Atomic.t;
   c_root_splits : int Atomic.t;
-  c_side : int Atomic.t;
-  c_posted : int Atomic.t;
   c_clipped : int Atomic.t;
   c_multi : int Atomic.t;
   c_consol : int Atomic.t;
   c_consol_skip : int Atomic.t;
-  pending : (int, unit) Hashtbl.t;
-  pending_mu : Mutex.t;
 }
 
 let env t = t.env
@@ -77,9 +88,11 @@ let mgr t = Env.txns t.env
 let pin t pid = Buffer_pool.pin (pool t) pid
 let unpin t fr = Buffer_pool.unpin (pool t) fr
 let page fr = fr.Buffer_pool.page
-let latch fr m = Latch.acquire fr.Buffer_pool.latch m
-let unlatch fr m = Latch.release fr.Buffer_pool.latch m
-let promote fr = Latch.promote fr.Buffer_pool.latch
+let latch = Protocol.latch
+let unlatch = Protocol.unlatch
+let unlatch_at = Protocol.unlatch_at
+let promote = Protocol.promote
+let counters t = P.counters t.proto
 let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
 
 let multi_parent_flag = 1
@@ -138,155 +151,6 @@ let find_record p point =
       if pt = point then Some (base + i, v) else go (i + 1)
   in
   go 0
-
-(* ---------- traversal ---------- *)
-
-let post_action : (t -> level:int -> address:int -> anchor:float array -> unit) ref =
-  ref (fun _ ~level:_ ~address:_ ~anchor:_ -> assert false)
-
-let maybe_schedule_posting t ~level ~sibling ~anchor =
-  Mutex.lock t.pending_mu;
-  let fresh = not (Hashtbl.mem t.pending sibling) in
-  if fresh then Hashtbl.replace t.pending sibling ();
-  Mutex.unlock t.pending_mu;
-  if fresh then
-    Env.schedule t.env (fun () ->
-        Mutex.lock t.pending_mu;
-        Hashtbl.remove t.pending sibling;
-        Mutex.unlock t.pending_mu;
-        !post_action t ~level:(level + 1) ~address:sibling ~anchor)
-
-(* Route within the node for [point]: side-step over sibling markers until
-   the node holds the point Here (leaf) or names a child (index). CNS:
-   one latch at a time. *)
-let rec settle t ~point ~m fr =
-  let p = page fr in
-  match Hkd.walk (node_kd p) point with
-  | Hkd.Sibling s ->
-      Atomic.incr t.c_side;
-      maybe_schedule_posting t ~level:(Page.level p) ~sibling:s ~anchor:point;
-      let sfr = pin t s in
-      if (Env.config t.env).Env.consolidation then begin
-        (* CP invariant: couple so the target cannot be de-allocated while
-           the pointer is de-referenced (section 5.2.2). *)
-        latch sfr m;
-        unlatch fr m;
-        unpin t fr
-      end
-      else begin
-        unlatch fr m;
-        unpin t fr;
-        latch sfr m
-      end;
-      settle t ~point ~m sfr
-  | Hkd.Here | Hkd.Child _ -> fr
-
-let rec descend_from t ~point ~target ~mode fr =
-  let p = page fr in
-  let level = Page.level p in
-  let m = if level > target then Latch.S else mode in
-  let fr = settle t ~point ~m fr in
-  if level = target then fr
-  else begin
-    let child =
-      match Hkd.walk (node_kd (page fr)) point with
-      | Hkd.Child c -> c
-      | Hkd.Here | Hkd.Sibling _ -> assert false
-    in
-    let cfr = pin t child in
-    let cm = if level - 1 > target then Latch.S else mode in
-    if (Env.config t.env).Env.consolidation then begin
-      latch cfr cm;
-      unlatch fr m;
-      unpin t fr
-    end
-    else begin
-      unlatch fr m;
-      unpin t fr;
-      latch cfr cm
-    end;
-    descend_from t ~point ~target ~mode cfr
-  end
-
-let rec descend t ~point ~target ~mode =
-  let fr = pin t t.root in
-  let above = Page.level (page fr) > target in
-  let m = if above then Latch.S else mode in
-  latch fr m;
-  if Page.level (page fr) > target <> above then begin
-    unlatch fr m;
-    unpin t fr;
-    descend t ~point ~target ~mode
-  end
-  else descend_from t ~point ~target ~mode fr
-
-(* ---------- optimistic (latch-free) descent ----------
-
-   Same read-validate-retry protocol as Pitree_blink (see the section
-   comment there and Pitree_storage.Olc). The hB-tree runs under either
-   invariant, so like the latched descent it must defend against CP
-   de-allocation: after pinning a node reached through a validated
-   pointer, re-validate the node the pointer was read from — unchanged
-   means the pointer still stood once the pin made the target
-   un-recyclable. *)
-
-let olc_enabled t = (Env.config t.env).Env.olc_reads
-
-(* Descend pinned-only to the leaf holding [point]'s region; returns it
-   pinned with a validated version-word snapshot. Owns [fr]'s pin: every
-   exit, including every raise, drops every pin held. *)
-let rec olc_step t ~point fr =
-  match
-    let v = Olc.snapshot fr in
-    let p = page fr in
-    (* Routing reads (level, kd-tree walk) parse unvalidated bytes;
-       [Olc.decoding] restarts a decode blow-up only when the version
-       word proves them torn. *)
-    Olc.decoding fr v @@ fun () ->
-    let level = Page.level p in
-    match Hkd.walk (node_kd p) point with
-    | Hkd.Sibling s ->
-        Olc.validate fr v;
-        `Next (v, s, `Side level)
-    | Hkd.Child c when level > 0 ->
-        Olc.validate fr v;
-        `Next (v, c, `Child)
-    | Hkd.Here | Hkd.Child _ ->
-        (* [Here] (or a level-0 kd-tree child marker) means this node:
-           the leaf, if the level read was not torn. *)
-        if level = 0 then begin
-          Olc.validate fr v;
-          `Leaf v
-        end
-        else raise Olc.Restart
-  with
-  | exception e ->
-      unpin t fr;
-      raise e
-  | `Leaf v -> (fr, v)
-  | `Next (v, next, kind) -> (
-      let nfr =
-        match pin t next with
-        | nfr -> nfr
-        | exception e ->
-            unpin t fr;
-            raise e
-      in
-      (* CP de-allocation defence (see the section comment). *)
-      match Olc.validate fr v with
-      | exception e ->
-          unpin t nfr;
-          unpin t fr;
-          raise e
-      | () ->
-          (match kind with
-          | `Side level ->
-              Atomic.incr t.c_side;
-              (* Validated side chase: pid and level proven un-torn. *)
-              maybe_schedule_posting t ~level ~sibling:next ~anchor:point
-          | `Child -> ());
-          unpin t fr;
-          olc_step t ~point nfr)
 
 (* ---------- splits ---------- *)
 
@@ -546,11 +410,19 @@ let grow_root t txn fr ~split_node =
   Crash_point.hit "hb.root.grown";
   unpin t lfr
 
+(* A point inside [b] that routes into it: its low corner, pulled inside
+   where the brick is unbounded. *)
+let anchor_of t (b : brick) =
+  Array.init t.k (fun i ->
+      if b.low.(i) = neg_infinity then
+        if b.high.(i) = infinity then 0.0 else b.high.(i) -. 1e-9
+      else b.low.(i))
+
 (* One split attempt for the data node owning [point]; separate atomic
    action, re-tested after descending. *)
 let split_for_insert t ~point ~need =
   Atomic_action.run (mgr t) (fun txn ->
-      let fr = descend t ~point ~target:0 ~mode:Latch.U in
+      let path, fr = P.descend t.proto ~key:point ~target:0 ~mode:Latch.U in
       let p = page fr in
       if Page.will_fit p (need + Page.slot_overhead) then begin
         unlatch fr Latch.U;
@@ -558,32 +430,28 @@ let split_for_insert t ~point ~need =
       end
       else begin
         promote fr;
+        let rank0 = Protocol.rank p in
         if Page.id p = t.root then
           grow_root t txn fr ~split_node:split_data_node
         else begin
           match split_data_node t txn fr with
           | Some (qpid, b) ->
-              let anchor =
-                Array.init t.k (fun i ->
-                    if b.low.(i) = neg_infinity then
-                      if b.high.(i) = infinity then 0.0 else b.high.(i) -. 1e-9
-                    else b.low.(i))
-              in
               Txn.add_on_commit txn (fun () ->
-                  maybe_schedule_posting t ~level:0 ~sibling:qpid ~anchor)
+                  P.schedule_posting t.proto ~level:0 ~container:(Page.id p)
+                    ~sibling:qpid ~path ~key:(anchor_of t b))
           | None -> ()
         end;
-        unlatch fr Latch.X;
+        unlatch_at rank0 fr Latch.X;
         unpin t fr
       end)
 
 (* ---------- index-term posting ---------- *)
 
-let do_post_action t ~level ~address ~anchor =
+let post t ~level ~path ~address ~key:anchor =
   Atomic_action.run (mgr t) (fun txn ->
       let rec attempt tries =
         if tries > 50 then failwith "hb: posting cannot make progress";
-        let fr = descend t ~point:anchor ~target:level ~mode:Latch.U in
+        let fr = P.search t.proto ~key:anchor ~level ~path in
         let p = page fr in
         let kd = node_kd p in
         if List.mem address (Hkd.children kd) then begin
@@ -669,7 +537,7 @@ let do_post_action t ~level ~address ~anchor =
                       |> List.length
                     in
                     if occurrences > 1 then Atomic.incr t.c_clipped;
-                    Atomic.incr t.c_posted;
+                    Atomic.incr (counters t).Protocol.postings_completed;
                     Crash_point.hit "hb.post.updated";
                     unlatch fr Latch.X;
                     unpin t fr
@@ -677,22 +545,17 @@ let do_post_action t ~level ~address ~anchor =
                   else begin
                     (* No room for the bigger kd-tree: split this index
                        node (or grow the root) and retry. *)
+                    let rank0 = Protocol.rank p in
                     (if Page.id p = t.root then
                        grow_root t txn fr ~split_node:split_index_node
                      else
                        match split_index_node t txn fr with
                        | Some (qpid, bq) ->
-                           let anchor_q =
-                             Array.init t.k (fun i ->
-                                 if bq.low.(i) = neg_infinity then
-                                   if bq.high.(i) = infinity then 0.0
-                                   else bq.high.(i) -. 1e-9
-                                 else bq.low.(i))
-                           in
-                           maybe_schedule_posting t ~level:(Page.level p)
-                             ~sibling:qpid ~anchor:anchor_q
+                           P.schedule_posting t.proto ~level ~container:(Page.id p)
+                             ~sibling:qpid ~path:(Saved_path.above path level)
+                             ~key:(anchor_of t bq)
                        | None -> failwith "hb: index node cannot split");
-                    unlatch fr Latch.X;
+                    unlatch_at rank0 fr Latch.X;
                     unpin t fr;
                     attempt (tries + 1)
                   end
@@ -700,9 +563,6 @@ let do_post_action t ~level ~address ~anchor =
         end
       in
       attempt 0)
-
-(* ---------- creation ---------- *)
-
 
 (* ---------- empty-node consolidation (section 3.3) ----------
 
@@ -716,24 +576,6 @@ let do_post_action t ~level ~address ~anchor =
    Child(C) marker in the parent is rerouted to N (which is responsible for
    that space), and C is de-allocated as a logged node update. *)
 
-let consolidate_action : (t -> pid:int -> anchor:float array -> unit) ref =
-  ref (fun _ ~pid:_ ~anchor:_ -> assert false)
-
-let maybe_schedule_consolidation t ~pid ~anchor =
-  if pid <> t.root then begin
-    Mutex.lock t.pending_mu;
-    let key = -pid (* distinct namespace from posting dedup *) in
-    let fresh = not (Hashtbl.mem t.pending key) in
-    if fresh then Hashtbl.replace t.pending key ();
-    Mutex.unlock t.pending_mu;
-    if fresh then
-      Env.schedule t.env (fun () ->
-          Mutex.lock t.pending_mu;
-          Hashtbl.remove t.pending key;
-          Mutex.unlock t.pending_mu;
-          !consolidate_action t ~pid ~anchor)
-  end
-
 let do_consolidate t ~pid ~anchor =
   let skipped () = Atomic.incr t.c_consol_skip in
   Atomic_action.run (mgr t) (fun txn ->
@@ -745,7 +587,7 @@ let do_consolidate t ~pid ~anchor =
       in
       if not tall_enough then skipped ()
       else begin
-        let pfr = descend t ~point:anchor ~target:1 ~mode:Latch.U in
+        let _, pfr = P.descend t.proto ~key:anchor ~target:1 ~mode:Latch.U in
         let pp = page pfr in
         let give_up () =
           unlatch pfr Latch.U;
@@ -825,15 +667,13 @@ let do_consolidate t ~pid ~anchor =
         end
       end)
 
-let () = consolidate_action := fun t ~pid ~anchor -> do_consolidate t ~pid ~anchor
-
 let rec logical_undo t ~comp ~txn ~prev ~undo_next =
   (* Compensations are keyed by the record cell (which embeds the point):
      Remove undoes an insert, Put restores a deleted/overwritten record —
      wherever committed structure changes have moved the point since. *)
   let cell_of = function Logical.Remove { key } -> key | Logical.Put { cell } -> cell in
   let point, _ = record_of_cell (cell_of comp) in
-  let fr = descend t ~point ~target:0 ~mode:Latch.U in
+  let _, fr = P.descend t.proto ~key:point ~target:0 ~mode:Latch.U in
   let p = page fr in
   let apply_clr op =
     (* Dirty (and log the full-page image) before the CLR is appended:
@@ -903,71 +743,6 @@ let rec logical_undo t ~comp ~txn ~prev ~undo_next =
             logical_undo t ~comp ~txn ~prev ~undo_next
           end)
 
-let attach env ~name ~root ~k =
-  {
-    env;
-    name;
-    root;
-    k;
-    combiner = None;
-    c_inserts = Atomic.make 0;
-    c_searches = Atomic.make 0;
-    c_data_splits = Atomic.make 0;
-    c_index_splits = Atomic.make 0;
-    c_root_splits = Atomic.make 0;
-    c_side = Atomic.make 0;
-    c_posted = Atomic.make 0;
-    c_clipped = Atomic.make 0;
-    c_multi = Atomic.make 0;
-    c_consol = Atomic.make 0;
-    c_consol_skip = Atomic.make 0;
-    pending = Hashtbl.create 16;
-    pending_mu = Mutex.create ();
-  }
-
-let attach env ~name ~root ~k =
-  let t = attach env ~name ~root ~k in
-  Logical.register_tree root (fun ~tree:_ ~comp ~txn ~prev ~undo_next ->
-      logical_undo t ~comp ~txn ~prev ~undo_next);
-  t
-
-(* Combiner construction needs the insert path below; wired up after
-   [apply_batch] is defined. *)
-let attach_combiner_fwd : (t -> unit) ref = ref (fun _ -> ())
-
-let create env ~name ~dims:k =
-  if k < 1 || k > 8 then invalid_arg "Hb.create: dims must be in 1..8";
-  let root = Env.create_tree env ~name:("hb:" ^ name) ~kind:Page.Data ~level:0 in
-  let t = attach env ~name ~root ~k in
-  !attach_combiner_fwd t;
-  Atomic_action.run (mgr t) (fun txn ->
-      let fr = pin t root in
-      latch fr Latch.X;
-      update t txn fr
-        (Page_op.Insert_slot { slot = 0; cell = brick_cell (whole_brick k) });
-      update t txn fr
-        (Page_op.Insert_slot { slot = 1; cell = Hkd.encode (Hkd.Leaf Hkd.Here) });
-      (* Remember the dimensionality in the root's flag bits. *)
-      update t txn fr (Page_op.Set_flags { old_flags = 0; new_flags = k lsl 8 });
-      unlatch fr Latch.X;
-      unpin t fr);
-  t
-
-let open_existing env ~name =
-  match Env.find_tree env ~name:("hb:" ^ name) with
-  | None -> None
-  | Some root ->
-      let pool = Env.pool env in
-      let fr = Buffer_pool.pin pool root in
-      let k = Page.flags (page fr) lsr 8 in
-      Buffer_pool.unpin pool fr;
-      if k = 0 then None
-      else begin
-        let t = attach env ~name ~root ~k in
-        !attach_combiner_fwd t;
-        Some t
-      end
-
 (* ---------- operations ---------- *)
 
 let with_autocommit ?txn t f =
@@ -994,7 +769,7 @@ let insert_in_txn t txn ~point ~value =
   (fun txn ->
       let rec attempt tries =
         if tries > 200 then failwith "hb.insert: too many restarts";
-        let fr = descend t ~point ~target:0 ~mode:Latch.U in
+        let _, fr = P.descend t.proto ~key:point ~target:0 ~mode:Latch.U in
         let p = page fr in
         let lundo comp =
           if (Env.config t.env).Env.page_oriented_undo then None
@@ -1071,17 +846,70 @@ let apply_batch t (reqs : (float array * string) array) =
        raise e);
   results
 
-let () =
-  attach_combiner_fwd :=
-    fun t ->
-      let c = Env.config t.env in
-      if c.Env.combine then
-        t.combiner <-
-          Some
-            (Combine.create ~slots:c.Env.combine_slots
-               ~window_us:c.Env.combine_window_us
-               ~apply:(fun reqs -> apply_batch t reqs)
-               ())
+let attach_combiner t =
+  let c = Env.config t.env in
+  if c.Env.combine then
+    t.combiner <-
+      Some
+        (Combine.create ~slots:c.Env.combine_slots ~window_us:c.Env.combine_window_us
+           ~apply:(fun reqs -> apply_batch t reqs)
+           ())
+
+(* ---------- creation ---------- *)
+
+let attach env ~name ~root ~k =
+  let t =
+    {
+      env;
+      name;
+      root;
+      k;
+      proto = P.create env ~root ~cp:(Env.config env).Env.consolidation;
+      combiner = None;
+      c_inserts = Atomic.make 0;
+      c_searches = Atomic.make 0;
+      c_data_splits = Atomic.make 0;
+      c_index_splits = Atomic.make 0;
+      c_root_splits = Atomic.make 0;
+      c_clipped = Atomic.make 0;
+      c_multi = Atomic.make 0;
+      c_consol = Atomic.make 0;
+      c_consol_skip = Atomic.make 0;
+    }
+  in
+  P.set_post t.proto (post t);
+  Logical.register_tree root (fun ~tree:_ ~comp ~txn ~prev ~undo_next ->
+      logical_undo t ~comp ~txn ~prev ~undo_next);
+  attach_combiner t;
+  t
+
+let create env ~name ~dims:k =
+  if k < 1 || k > 8 then invalid_arg "Hb.create: dims must be in 1..8";
+  let root = Env.create_tree env ~name:("hb:" ^ name) ~kind:Page.Data ~level:0 in
+  let t = attach env ~name ~root ~k in
+  Atomic_action.run (mgr t) (fun txn ->
+      let fr = pin t root in
+      latch fr Latch.X;
+      update t txn fr
+        (Page_op.Insert_slot { slot = 0; cell = brick_cell (whole_brick k) });
+      update t txn fr
+        (Page_op.Insert_slot { slot = 1; cell = Hkd.encode (Hkd.Leaf Hkd.Here) });
+      (* Remember the dimensionality in the root's flag bits. *)
+      update t txn fr (Page_op.Set_flags { old_flags = 0; new_flags = k lsl 8 });
+      unlatch fr Latch.X;
+      unpin t fr);
+  t
+
+let open_existing env ~name =
+  match Env.find_tree env ~name:("hb:" ^ name) with
+  | None -> None
+  | Some root ->
+      let pool = Env.pool env in
+      let fr = Buffer_pool.pin pool root in
+      let k = Page.flags (page fr) lsr 8 in
+      Buffer_pool.unpin pool fr;
+      if k = 0 then None
+      else Some (attach env ~name ~root ~k)
 
 let insert ?txn t ~point ~value =
   check_point t point;
@@ -1100,7 +928,7 @@ let insert ?txn t ~point ~value =
 let delete ?txn t point =
   check_point t point;
   with_autocommit ?txn t (fun txn ->
-      let fr = descend t ~point ~target:0 ~mode:Latch.U in
+      let _, fr = P.descend t.proto ~key:point ~target:0 ~mode:Latch.U in
       let p = page fr in
       match find_record p point with
       | Some (slot, _) ->
@@ -1117,8 +945,9 @@ let delete ?txn t point =
           let pid = Page.id p in
           unlatch fr Latch.X;
           unpin t fr;
-          if now_empty && (Env.config t.env).Env.consolidation then
-            maybe_schedule_consolidation t ~pid ~anchor:point;
+          if now_empty then
+            P.schedule_consolidation t.proto ~pid (fun () ->
+                do_consolidate t ~pid ~anchor:point);
           true
       | None ->
           unlatch fr Latch.U;
@@ -1126,14 +955,14 @@ let delete ?txn t point =
           false)
 
 let find_latched t point =
-  let fr = descend t ~point ~target:0 ~mode:Latch.S in
+  let _, fr = P.descend t.proto ~key:point ~target:0 ~mode:Latch.S in
   let r = Option.map snd (find_record (page fr) point) in
   unlatch fr Latch.S;
   unpin t fr;
   r
 
 let find_olc t point =
-  let fr, v = olc_step t ~point (pin t t.root) in
+  let fr, v = P.olc_descend t.proto ~key:point in
   match
     let r =
       Olc.decoding fr v (fun () ->
@@ -1155,11 +984,10 @@ let find t point =
   check_point t point;
   Atomic.incr t.c_searches;
   let r =
-    if olc_enabled t then
-      Olc.protect
+    if (Env.config t.env).Env.olc_reads then
+      P.olc_protect t.proto
         ~attempt:(fun () -> find_olc t point)
         ~fallback:(fun () -> find_latched t point)
-        ()
     else find_latched t point
   in
   ignore (Env.drain t.env);
@@ -1265,14 +1093,10 @@ let stats t =
     data_splits = Atomic.get t.c_data_splits;
     index_splits = Atomic.get t.c_index_splits;
     root_splits = Atomic.get t.c_root_splits;
-    side_traversals = Atomic.get t.c_side;
-    postings_completed = Atomic.get t.c_posted;
+    side_traversals = Atomic.get (counters t).Protocol.side_traversals;
+    postings_completed = Atomic.get (counters t).Protocol.postings_completed;
     clipped_postings = Atomic.get t.c_clipped;
     multi_parent_marks = Atomic.get t.c_multi;
     consolidations = Atomic.get t.c_consol;
     consolidations_skipped = Atomic.get t.c_consol_skip;
   }
-
-let () =
-  post_action :=
-    fun t ~level ~address ~anchor -> do_post_action t ~level ~address ~anchor

@@ -21,6 +21,16 @@ module Keyspace = Pitree_core.Keyspace
 module Ordkey = Pitree_util.Ordkey
 module Bnode = Pitree_blink.Node
 module Combine = Pitree_combine.Combine
+module Protocol = Pitree_core.Protocol
+
+(* The protocol core over TSB nodes. *)
+module P = Protocol.Make_interval (struct
+  include Tnode
+
+  let fence_high p = (Tnode.fence p).Bnode.high
+  let posted_sep sep = sep
+  let hit _ = ()
+end)
 
 (* Every Crash_point.hit site in this engine, pre-registered so sweep
    harnesses can enumerate them before any fires. *)
@@ -58,6 +68,7 @@ type t = {
   env : Env.t;
   name : string;
   root : int;
+  proto : P.t;
   mutable combiner : (string * string, comb_res) Combine.t option;
   clock : int Atomic.t;
   horizon : int Atomic.t;
@@ -66,13 +77,9 @@ type t = {
   c_key_splits : int Atomic.t;
   c_root_splits : int Atomic.t;
   c_history_nodes : int Atomic.t;
-  c_side : int Atomic.t;
-  c_posted : int Atomic.t;
   c_drained : int Atomic.t;
   c_purged : int Atomic.t;
   c_merges : int Atomic.t;
-  pending : (int, unit) Hashtbl.t;
-  pending_mu : Mutex.t;
   gc_mu : Mutex.t;
 }
 
@@ -109,152 +116,15 @@ let alloc_ts t txn =
 let pin t pid = Buffer_pool.pin (pool t) pid
 let unpin t fr = Buffer_pool.unpin (pool t) fr
 let page fr = fr.Buffer_pool.page
-let latch fr m = Latch.acquire fr.Buffer_pool.latch m
-let unlatch fr m = Latch.release fr.Buffer_pool.latch m
-let promote fr = Latch.promote fr.Buffer_pool.latch
+let latch = Protocol.latch
+let unlatch = Protocol.unlatch
+let unlatch_at = Protocol.unlatch_at
+let promote = Protocol.promote
 let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
 
 let is_history p = Page.flags p land Tnode.history_flag <> 0
 
 let dummy_time = Tnode.time_cell { Tnode.t_low = 0; t_high = None }
-
-(* ---------- traversal (CNS: one latch at a time) ---------- *)
-
-let post_action :
-    (t -> level:int -> address:int -> key:string -> unit) ref =
-  ref (fun _ ~level:_ ~address:_ ~key:_ -> assert false)
-
-let maybe_schedule_posting t ~level ~sibling ~key =
-  Mutex.lock t.pending_mu;
-  let fresh = not (Hashtbl.mem t.pending sibling) in
-  if fresh then Hashtbl.replace t.pending sibling ();
-  Mutex.unlock t.pending_mu;
-  if fresh then
-    Env.schedule t.env (fun () ->
-        Mutex.lock t.pending_mu;
-        Hashtbl.remove t.pending sibling;
-        Mutex.unlock t.pending_mu;
-        !post_action t ~level:(level + 1) ~address:sibling ~key)
-
-let rec side_step t ~ckey ~m fr =
-  let p = page fr in
-  if Tnode.contains p ckey then fr
-  else begin
-    Atomic.incr t.c_side;
-    let sib = Page.side_ptr p in
-    assert (sib <> Page.nil);
-    maybe_schedule_posting t ~level:(Page.level p) ~sibling:sib ~key:ckey;
-    let sfr = pin t sib in
-    unlatch fr m;
-    unpin t fr;
-    latch sfr m;
-    side_step t ~ckey ~m sfr
-  end
-
-(* Descend by composite key to [target] level; CNS single-latch. *)
-let rec descend_from t ~ckey ~target ~mode fr =
-  let p = page fr in
-  let level = Page.level p in
-  let m = if level > target then Latch.S else mode in
-  let fr = side_step t ~ckey ~m fr in
-  let p = page fr in
-  if level = target then fr
-  else begin
-    let i =
-      match Tnode.floor_entry p ckey with
-      | Some i -> i
-      | None -> assert false
-    in
-    let _, child = Tnode.index_term p i in
-    let cfr = pin t child in
-    unlatch fr m;
-    unpin t fr;
-    latch cfr (if level - 1 > target then Latch.S else mode);
-    descend_from t ~ckey ~target ~mode cfr
-  end
-
-let rec descend t ~ckey ~target ~mode =
-  let fr = pin t t.root in
-  let above = Page.level (page fr) > target in
-  let m = if above then Latch.S else mode in
-  latch fr m;
-  if Page.level (page fr) > target <> above then begin
-    unlatch fr m;
-    unpin t fr;
-    descend t ~ckey ~target ~mode
-  end
-  else descend_from t ~ckey ~target ~mode fr
-
-(* ---------- optimistic (latch-free) descent ----------
-
-   Same read-validate-retry protocol as Pitree_blink (see the section
-   comment there and Pitree_storage.Olc), simplified by the TSB-tree's
-   CNS discipline: nodes are immortal, so a validated pointer can be
-   de-referenced without re-validating the parent after the pin — a
-   stale (post-split) child is recovered by side-stepping, exactly as in
-   the latched single-latch descent above. *)
-
-let olc_enabled t = (Env.config t.env).Env.olc_reads
-
-(* Descend pinned-only to the current node directly containing [ckey];
-   returns it pinned with a validated version-word snapshot. Owns [fr]'s
-   pin: every exit, including every raise, drops every pin held. *)
-let rec olc_step t ~ckey fr =
-  match
-    let v = Olc.snapshot fr in
-    let p = page fr in
-    (* A stale pointer can land on a page the GC drain/merge already
-       freed: a transient state of the optimistic protocol — restart. *)
-    Olc.live p;
-    (* Routing reads parse unvalidated bytes; [Olc.decoding] restarts a
-       decode blow-up only when the version word proves them torn. *)
-    Olc.decoding fr v @@ fun () ->
-    if not (Tnode.contains p ckey) then begin
-      let sib = Page.side_ptr p in
-      let level = Page.level p in
-      Olc.validate fr v;
-      if sib = Page.nil then raise Olc.Restart;
-      `Side (sib, level)
-    end
-    else if Page.level p = 0 then begin
-      Olc.validate fr v;
-      `Leaf v
-    end
-    else
-      match Tnode.floor_entry p ckey with
-      | None -> raise Olc.Restart
-      | Some i ->
-          let _, child = Tnode.index_term p i in
-          Olc.validate fr v;
-          `Child child
-  with
-  | exception e ->
-      unpin t fr;
-      raise e
-  | `Leaf v -> (fr, v)
-  | `Side (sib, level) ->
-      Atomic.incr t.c_side;
-      (* Validated side chase: the pid and level are proven un-torn. *)
-      maybe_schedule_posting t ~level ~sibling:sib ~key:ckey;
-      let sfr =
-        match pin t sib with
-        | sfr -> sfr
-        | exception e ->
-            unpin t fr;
-            raise e
-      in
-      unpin t fr;
-      olc_step t ~ckey sfr
-  | `Child child ->
-      let cfr =
-        match pin t child with
-        | cfr -> cfr
-        | exception e ->
-            unpin t fr;
-            raise e
-      in
-      unpin t fr;
-      olc_step t ~ckey cfr
 
 (* ---------- splits ---------- *)
 
@@ -397,7 +267,8 @@ let key_split t txn fr =
         Some (sep, qpid)
 
 (* Root growth: contents (and, for a leaf root, the history pointer) move
-   down to a fresh left child; the immovable root becomes an index node. *)
+   down to a fresh left child; the immovable root becomes an index node.
+   Returns the left child. *)
 let grow_root t txn fr ~sep ~right =
   let p = page fr in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
@@ -438,13 +309,15 @@ let grow_root t txn fr ~sep ~right =
   update t txn fr
     (Page_op.Insert_slot { slot = 3; cell = Tnode.index_term_cell ~sep ~child:right });
   Atomic.incr t.c_root_splits;
-  unpin t lfr
+  let l = Page.id (page lfr) in
+  unpin t lfr;
+  l
 
 (* Make room in the full leaf that owns [ckey]. One atomic action; re-tests
    state after re-descending (idempotent completion discipline). *)
 let split_current t ~ckey ~need =
   Atomic_action.run (mgr t) (fun txn ->
-      let fr = descend t ~ckey ~target:0 ~mode:Latch.U in
+      let path, fr = P.descend t.proto ~key:ckey ~target:0 ~mode:Latch.U in
       let p = page fr in
       if Page.will_fit p (need + Page.slot_overhead) then begin
         unlatch fr Latch.U;
@@ -452,6 +325,7 @@ let split_current t ~ckey ~need =
       end
       else begin
         promote fr;
+        let rank0 = Protocol.rank p in
         let n = Tnode.entry_count p in
         let alive = alive_flags p in
         let dead_bytes =
@@ -468,10 +342,11 @@ let split_current t ~ckey ~need =
         else begin
           match key_split t txn fr with
           | Some (sep, q) ->
-              if Page.id p = t.root then grow_root t txn fr ~sep ~right:q
+              if Page.id p = t.root then ignore (grow_root t txn fr ~sep ~right:q)
               else
                 Txn.add_on_commit txn (fun () ->
-                    maybe_schedule_posting t ~level:0 ~sibling:q ~key:sep)
+                    P.schedule_posting t.proto ~level:0 ~container:(Page.id p)
+                      ~sibling:q ~path ~key:sep)
           | None ->
               if n >= 1 && dead_bytes > 0 then time_split t txn fr
               else
@@ -483,54 +358,14 @@ let split_current t ~ckey ~need =
                    history node). *)
                 hopeless := true
         end;
-        unlatch fr Latch.X;
+        unlatch_at rank0 fr Latch.X;
         unpin t fr;
         if !hopeless then raise Page.Page_full
       end)
 
-(* ---------- index posting (section 5.3, simplified search) ---------- *)
-
-let index_need sep = String.length (Tnode.index_term_cell ~sep ~child:0)
-
-let rec ensure_space_index t txn fr ~poskey ~need =
-  let p = page fr in
-  if Page.will_fit p (need + Page.slot_overhead) then fr
-  else if Page.id p = t.root then begin
-    match index_split t txn fr with
-    | None -> failwith "tsb: cannot split index root"
-    | Some (sep, q) ->
-        grow_root t txn fr ~sep ~right:q;
-        (* Re-descend one level. *)
-        let child =
-          if String.compare poskey sep < 0 then
-            let _, c = Tnode.index_term p 0 in
-            c
-          else q
-        in
-        let cfr = pin t child in
-        latch cfr Latch.X;
-        unlatch fr Latch.X;
-        unpin t fr;
-        ensure_space_index t txn cfr ~poskey ~need
-  end
-  else
-    match index_split t txn fr with
-    | None -> failwith "tsb: cannot split index node"
-    | Some (sep, q) ->
-        maybe_schedule_posting t ~level:(Page.level p) ~sibling:q ~key:sep;
-        if String.compare poskey sep < 0 then
-          ensure_space_index t txn fr ~poskey ~need
-        else begin
-          let qfr = pin t q in
-          latch qfr Latch.X;
-          unlatch fr Latch.X;
-          unpin t fr;
-          ensure_space_index t txn qfr ~poskey ~need
-        end
-
 (* Index-node split over composites: same as key_split but without history
    pointers and with arbitrary separators. *)
-and index_split t txn fr =
+let index_split t txn fr =
   let p = page fr in
   let n = Tnode.entry_count p in
   if n < 2 then None
@@ -578,66 +413,7 @@ and index_split t txn fr =
     Some (sep, qpid)
   end
 
-let do_post_action t ~level ~address ~key =
-  Atomic_action.run (mgr t) (fun txn ->
-      let fr = descend t ~ckey:key ~target:level ~mode:Latch.U in
-      if Tnode.find_child_term (page fr) address <> None then begin
-        unlatch fr Latch.U;
-        unpin t fr
-      end
-      else begin
-        match Tnode.floor_entry (page fr) key with
-        | None ->
-            unlatch fr Latch.U;
-            unpin t fr
-        | Some i ->
-            let _, child = Tnode.index_term (page fr) i in
-            let cfr = pin t child in
-            latch cfr Latch.S;
-            let cp = page cfr in
-            if Tnode.contains cp key then begin
-              unlatch cfr Latch.S;
-              unpin t cfr;
-              unlatch fr Latch.U;
-              unpin t fr
-            end
-            else begin
-              let sib = Page.side_ptr cp in
-              let sep =
-                match (Tnode.fence cp).Bnode.high with
-                | Some h -> h
-                | None -> assert false
-              in
-              unlatch cfr Latch.S;
-              unpin t cfr;
-              if Tnode.find_child_term (page fr) sib <> None then begin
-                unlatch fr Latch.U;
-                unpin t fr
-              end
-              else begin
-                promote fr;
-                let fr =
-                  ensure_space_index t txn fr ~poskey:sep ~need:(index_need sep)
-                in
-                (match Tnode.find (page fr) sep with
-                | `Found _ -> ()
-                | `Not_found j ->
-                    update t txn fr
-                      (Page_op.Insert_slot
-                         {
-                           slot = Tnode.slot_of_entry j;
-                           cell = Tnode.index_term_cell ~sep ~child:sib;
-                         });
-                    Atomic.incr t.c_posted);
-                unlatch fr Latch.X;
-                unpin t fr
-              end
-            end
-      end)
-
-let () = ()
-
-(* ---------- creation / registration ---------- *)
+(* ---------- logical undo ---------- *)
 
 let record_res t key = Lock_manager.Record { tree = t.root; key }
 
@@ -647,7 +423,7 @@ let logical_undo t ~comp ~txn ~prev ~undo_next =
     | Logical.Remove { key } -> key
     | Logical.Put { cell } -> fst (Bnode.entry_of_cell cell)
   in
-  let fr = descend t ~ckey ~target:0 ~mode:Latch.U in
+  let _, fr = P.descend t.proto ~key:ckey ~target:0 ~mode:Latch.U in
   let p = page fr in
   let apply_clr op =
     (* Dirty (and log the full-page image) before the CLR is appended:
@@ -695,34 +471,6 @@ let logical_undo t ~comp ~txn ~prev ~undo_next =
   in
   r
 
-let attach env ~name ~root =
-  let t =
-    {
-      env;
-      name;
-      root;
-      combiner = None;
-      clock = Atomic.make 1;
-      horizon = Atomic.make 0;
-      c_puts = Atomic.make 0;
-      c_time_splits = Atomic.make 0;
-      c_key_splits = Atomic.make 0;
-      c_root_splits = Atomic.make 0;
-      c_history_nodes = Atomic.make 0;
-      c_side = Atomic.make 0;
-      c_posted = Atomic.make 0;
-      c_drained = Atomic.make 0;
-      c_purged = Atomic.make 0;
-      c_merges = Atomic.make 0;
-      pending = Hashtbl.create 16;
-      pending_mu = Mutex.create ();
-      gc_mu = Mutex.create ();
-    }
-  in
-  Logical.register_tree root (fun ~tree:_ ~comp ~txn ~prev ~undo_next ->
-      logical_undo t ~comp ~txn ~prev ~undo_next);
-  t
-
 (* The tree clock must move past every timestamp ever issued; scan the
    current leaf level for the maximum on open. Structural stamps (time
    splits) may exceed every entry stamp, but a time split raises the
@@ -762,38 +510,6 @@ let recover_clock t =
      push it past everything this tree ever issued. *)
   if si_enabled t then Snapshot.observe_floor (snap t) max_time
 
-(* Combiner construction and the Mvcc vtable need the read/write paths
-   below; wired up after they are defined. *)
-let attach_combiner_fwd : (t -> unit) ref = ref (fun _ -> ())
-let register_mvcc_fwd : (t -> unit) ref = ref (fun _ -> ())
-
-let create env ~name =
-  let root = Env.create_tree env ~name:("tsb:" ^ name) ~kind:Page.Data ~level:0 in
-  let t = attach env ~name ~root in
-  !attach_combiner_fwd t;
-  !register_mvcc_fwd t;
-  Atomic_action.run (mgr t) (fun txn ->
-      let fr = pin t root in
-      latch fr Latch.X;
-      update t txn fr
-        (Page_op.Insert_slot { slot = 0; cell = Tnode.fence_cell Bnode.whole_fence });
-      update t txn fr
-        (Page_op.Insert_slot
-           { slot = 1; cell = Tnode.time_cell { Tnode.t_low = 0; t_high = None } });
-      unlatch fr Latch.X;
-      unpin t fr);
-  t
-
-let open_existing env ~name =
-  match Env.find_tree env ~name:("tsb:" ^ name) with
-  | None -> None
-  | Some root ->
-      let t = attach env ~name ~root in
-      recover_clock t;
-      !attach_combiner_fwd t;
-      !register_mvcc_fwd t;
-      Some t
-
 (* ---------- writes ---------- *)
 
 let with_autocommit t txn f =
@@ -819,7 +535,7 @@ let write_version ?time t txn ~key version =
   let cell = Tnode.version_cell ~composite:ckey version in
   let rec attempt tries =
     if tries > 200 then failwith "tsb.put: too many restarts";
-    let fr = descend t ~ckey ~target:0 ~mode:Latch.U in
+    let _, fr = P.descend t.proto ~key:ckey ~target:0 ~mode:Latch.U in
     let p = page fr in
     if
       not
@@ -861,7 +577,7 @@ let write_version ?time t txn ~key version =
 (* Combined write batch: one User transaction covers every request the
    leader drained from its slot, so one WAL flush enrollment (with
    [~commits] crediting the fan-in) makes the whole batch durable.
-   Unlike blink, each key still takes its own CNS descent here — versioned
+   Unlike blink, each key still takes its own descent here — versioned
    keys are composites of (key, fresh timestamp) so two requests rarely
    share a leaf — but the shared txn collapses N commit flushes into one.
    Lock acquisition may block, which is safe because the lock manager's
@@ -889,17 +605,14 @@ let apply_batch t (reqs : (string * string) array) =
        Array.fill results 0 n Handback);
   results
 
-let () =
-  attach_combiner_fwd :=
-    fun t ->
-      let c = Env.config t.env in
-      if c.Env.combine then
-        t.combiner <-
-          Some
-            (Combine.create ~slots:c.Env.combine_slots
-               ~window_us:c.Env.combine_window_us
-               ~apply:(fun reqs -> apply_batch t reqs)
-               ())
+let attach_combiner t =
+  let c = Env.config t.env in
+  if c.Env.combine then
+    t.combiner <-
+      Some
+        (Combine.create ~slots:c.Env.combine_slots ~window_us:c.Env.combine_window_us
+           ~apply:(fun reqs -> apply_batch t reqs)
+           ())
 
 let put_direct ?txn t ~key ~value =
   with_autocommit t txn (fun txn -> write_version t txn ~key (Tnode.Value value))
@@ -969,7 +682,7 @@ let walk_history t ~key ~time pid =
 
 let lookup_asof_latched t ~key ~time =
   let ckey = Ordkey.composite key time in
-  let fr = descend t ~ckey ~target:0 ~mode:Latch.S in
+  let _, fr = P.descend t.proto ~key:ckey ~target:0 ~mode:Latch.S in
   let p = page fr in
   let current = version_in_page p ~key ~time in
   let r =
@@ -992,7 +705,7 @@ let lookup_asof_latched t ~key ~time =
    chain pages) is discarded and the descent restarts. *)
 let lookup_asof_olc t ~key ~time =
   let ckey = Ordkey.composite key time in
-  let fr, v = olc_step t ~ckey (pin t t.root) in
+  let fr, v = P.olc_descend t.proto ~key:ckey in
   match
     (* The whole read — current-node decode AND chain walk — is guarded
        by [fr]'s version word: the GC drain bumps it before cutting or
@@ -1018,11 +731,10 @@ let lookup_asof_olc t ~key ~time =
       r
 
 let lookup_asof t ~key ~time =
-  if olc_enabled t then
-    Olc.protect
+  if (Env.config t.env).Env.olc_reads then
+    P.olc_protect t.proto
       ~attempt:(fun () -> lookup_asof_olc t ~key ~time)
       ~fallback:(fun () -> lookup_asof_latched t ~key ~time)
-      ()
   else lookup_asof_latched t ~key ~time
 
 let get_asof t key ~time =
@@ -1036,26 +748,84 @@ let get t key = get_asof t key ~time:max_int
    check reads the newest stamp of a key (tombstones count — a delete is
    a conflicting write), and [apply] installs the already-validated write
    set at the transaction's single commit timestamp. *)
-let () =
-  register_mvcc_fwd :=
-    fun t ->
-      Mvcc.register_tree t.root
-        {
-          Mvcc.newest =
-            (fun key -> Option.map fst (lookup_asof t ~key ~time:max_int));
-          apply =
-            (fun txn ~time ~key ~value ->
-              Atomic.incr t.c_puts;
-              ignore
-                (write_version ~time t txn ~key
-                   (match value with
-                   | Some v -> Tnode.Value v
-                   | None -> Tnode.Tombstone)));
-        }
+let register_mvcc t =
+  Mvcc.register_tree t.root
+    {
+      Mvcc.newest = (fun key -> Option.map fst (lookup_asof t ~key ~time:max_int));
+      apply =
+        (fun txn ~time ~key ~value ->
+          Atomic.incr t.c_puts;
+          ignore
+            (write_version ~time t txn ~key
+               (match value with Some v -> Tnode.Value v | None -> Tnode.Tombstone)));
+    }
+
+(* ---------- creation / registration ---------- *)
+
+(* A handle on the tree rooted at [root]. The gc pass frees nodes, so
+   TSB traversals always run under the CP invariant. *)
+let attach env ~name ~root =
+  let t =
+    {
+      env;
+      name;
+      root;
+      proto = P.create env ~root ~cp:true;
+      combiner = None;
+      clock = Atomic.make 1;
+      horizon = Atomic.make 0;
+      c_puts = Atomic.make 0;
+      c_time_splits = Atomic.make 0;
+      c_key_splits = Atomic.make 0;
+      c_root_splits = Atomic.make 0;
+      c_history_nodes = Atomic.make 0;
+      c_drained = Atomic.make 0;
+      c_purged = Atomic.make 0;
+      c_merges = Atomic.make 0;
+      gc_mu = Mutex.create ();
+    }
+  in
+  let split txn fr ~pending:_ =
+    match index_split t txn fr with
+    | Some s -> s
+    | None -> failwith "tsb: cannot split index node"
+  in
+  P.set_post t.proto
+    (P.post t.proto ~split ~grow:(fun txn fr ~pending ->
+         let sep, q = split txn fr ~pending in
+         (grow_root t txn fr ~sep ~right:q, sep, q)));
+  Logical.register_tree root (fun ~tree:_ ~comp ~txn ~prev ~undo_next ->
+      logical_undo t ~comp ~txn ~prev ~undo_next);
+  attach_combiner t;
+  register_mvcc t;
+  t
+
+let create env ~name =
+  let root = Env.create_tree env ~name:("tsb:" ^ name) ~kind:Page.Data ~level:0 in
+  let t = attach env ~name ~root in
+  Atomic_action.run (mgr t) (fun txn ->
+      let fr = pin t root in
+      latch fr Latch.X;
+      update t txn fr
+        (Page_op.Insert_slot { slot = 0; cell = Tnode.fence_cell Bnode.whole_fence });
+      update t txn fr
+        (Page_op.Insert_slot
+           { slot = 1; cell = Tnode.time_cell { Tnode.t_low = 0; t_high = None } });
+      unlatch fr Latch.X;
+      unpin t fr);
+  t
+
+let open_existing env ~name =
+  match Env.find_tree env ~name:("tsb:" ^ name) with
+  | None -> None
+  | Some root ->
+      let t = attach env ~name ~root in
+      recover_clock t;
+      Some t
 
 let history t key =
   let ckey = Ordkey.composite key max_int in
-  let fr = descend t ~ckey ~target:0 ~mode:Latch.S in
+  let _, fr = P.descend t.proto ~key:ckey ~target:0 ~mode:Latch.S in
   let collect p acc =
     let rec go i acc =
       if i >= Tnode.entry_count p then acc
@@ -1116,7 +886,7 @@ let range_asof t ~time ?low ?high ~init ~f =
   (* Collect the distinct user keys present at the current level (every key
      ever written retains at least its newest version there), then resolve
      each as of [time]. *)
-  let fr = descend t ~ckey:start ~target:0 ~mode:Latch.S in
+  let _, fr = P.descend t.proto ~key:start ~target:0 ~mode:Latch.S in
   let rec leaves fr acc =
     let p = page fr in
     let acc =
@@ -1131,13 +901,10 @@ let range_asof t ~time ?low ?high ~init ~f =
       !a
     in
     let sib = Page.side_ptr p in
-    let fhigh = (Tnode.fence p).Bnode.high in
-    unlatch fr Latch.S;
-    unpin t fr;
     let continue_ =
       sib <> Page.nil
       &&
-      match (fhigh, high) with
+      match ((Tnode.fence p).Bnode.high, high) with
       | None, _ -> false
       | Some _, None -> true
       | Some fh, Some h ->
@@ -1146,10 +913,14 @@ let range_asof t ~time ?low ?high ~init ~f =
     in
     if continue_ then begin
       let sfr = pin t sib in
-      latch sfr Latch.S;
+      P.hand_over t.proto fr Latch.S sfr;
       leaves sfr acc
     end
-    else acc
+    else begin
+      unlatch fr Latch.S;
+      unpin t fr;
+      acc
+    end
   in
   let keys = List.rev (leaves fr []) in
   List.fold_left
@@ -1186,12 +957,13 @@ let range_asof t ~time ?low ?high ~init ~f =
      the page is freed.
 
    [gc] is a maintenance pass: it serializes against itself, and callers
-   must quiesce {e writers} on this tree while it runs (the engine's CNS
-   invariant promises traversals that reachable nodes are never
-   consolidated; we keep that promise by consolidating only inside this
-   pass). Concurrent {e readers} stay safe: latched readers hold S on
-   the current node across chain walks, which the drain's X excludes,
-   and optimistic readers re-validate the current node after the walk. *)
+   must quiesce {e writers} on this tree while it runs. Because it frees
+   nodes, TSB traversals always run under the CP invariant (latch
+   coupling; optimistic readers re-validate each parent after the pin),
+   so none enters a node a merge frees. Concurrent {e readers} stay
+   safe: latched readers hold S on the current node across chain walks,
+   which the drain's X excludes, and optimistic readers re-validate the
+   current node after the walk. *)
 
 let set_horizon t time =
   (* Under snapshot isolation the horizon may not pass what a live
@@ -1337,7 +1109,7 @@ let purge_runs t txn fr =
 let merge_empty t ~ckey =
   let merged = ref 0 in
   Atomic_action.run (mgr t) (fun txn ->
-      let fr = descend t ~ckey ~target:1 ~mode:Latch.U in
+      let _, fr = P.descend t.proto ~key:ckey ~target:1 ~mode:Latch.U in
       let pp = page fr in
       let give_up () =
         unlatch fr Latch.U;
@@ -1602,13 +1374,9 @@ let stats t =
     key_splits = Atomic.get t.c_key_splits;
     root_splits = Atomic.get t.c_root_splits;
     history_nodes = Atomic.get t.c_history_nodes;
-    side_traversals = Atomic.get t.c_side;
-    postings_completed = Atomic.get t.c_posted;
+    side_traversals = Atomic.get (P.counters t.proto).Protocol.side_traversals;
+    postings_completed = Atomic.get (P.counters t.proto).Protocol.postings_completed;
     history_nodes_freed = Atomic.get t.c_drained;
     tombstones_purged = Atomic.get t.c_purged;
     merges = Atomic.get t.c_merges;
   }
-
-(* Tie the posting knot. *)
-let () =
-  post_action := fun t ~level ~address ~key -> do_post_action t ~level ~address ~key

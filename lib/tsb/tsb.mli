@@ -22,10 +22,11 @@
     Concurrency and recovery follow the same Pi-tree protocol as the B-link
     engine: splits are independent atomic actions; index-term posting for
     key splits is a separate, lazily-completable atomic action; time splits
-    change no parent, so they complete in one action. The engine runs under
-    the CNS invariant — traversals never meet a consolidation — which the
-    quiesced {!gc} maintenance pass preserves by draining expired history
-    and merging emptied leaves only while writers are stopped. *)
+    change no parent, so they complete in one action. The {!gc}
+    maintenance pass frees nodes (drained history, merged empty leaves),
+    so the engine always runs under the CP invariant: traversals
+    latch-couple, and optimistic readers re-validate each parent after
+    pinning the child. *)
 
 type t
 

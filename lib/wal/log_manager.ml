@@ -28,9 +28,9 @@ type t = {
   mutable flushes : int;  (* durability-advance events (incl. in-memory) *)
   mutable flush_requests : int;  (* flush calls that found undurable records *)
   mutable logical_commits : int;
-      (* commits covered by those requests: a combined batch enrolls once
-         for N commits, so logical_commits / flush_requests is the
-         write-combining fan-in on top of group commit's *)
+      (* commits that asked for durability, whether or not a concurrent
+         batch had already covered them: a combined batch enrolls once
+         for N commits *)
   mutable bytes : int;
   mutable truncations : int;
   mutable truncated_records : int;
@@ -308,13 +308,13 @@ let rec flush_locked t target =
     flush_locked t target
   end
 
-let flush ?(commits = 1) t lsn =
+let flush ?(commits = 0) t lsn =
   Mutex.lock t.mu;
   let target = min lsn t.count in
+  t.logical_commits <- t.logical_commits + commits;
   if target > t.durable then begin
     let t0 = Unix.gettimeofday () in
     t.flush_requests <- t.flush_requests + 1;
-    t.logical_commits <- t.logical_commits + commits;
     if target > t.flush_target then t.flush_target <- target;
     t.pending <- target :: t.pending;
     flush_locked t target;

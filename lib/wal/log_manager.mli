@@ -45,8 +45,9 @@ val append : t -> prev:Lsn.t -> txn:int -> Log_record.body -> Lsn.t
 val flush : ?commits:int -> t -> Lsn.t -> unit
 (** Make everything up to [lsn] durable (group commit, see above). No-op if
     already durable. Returns only once durability covers [lsn]. [commits]
-    (default 1) is how many logical commits this single enrollment covers —
-    a combined write batch commits once for N user puts — and only feeds
+    (default 0: a flush that is no commit, e.g. write-ahead before a page
+    write) is how many logical commits this call makes durable — a
+    combined write batch commits once for N user puts — and only feeds
     the [logical_commits] counter. *)
 
 val flush_all : t -> unit
@@ -113,9 +114,10 @@ type stats = {
   flush_requests : int;
       (** flush calls that found undurable records and had to wait *)
   logical_commits : int;
-      (** logical commits covered by those requests ([flush ~commits]) —
-          [logical_commits / flush_requests] is the write-combining fan-in
-          stacked on top of group commit's [batch_mean] *)
+      (** logical commits that asked for durability ([flush ~commits]),
+          counted even when a concurrent batch had already made them
+          durable — so [flush_requests / logical_commits] is the share of
+          commits that had to wait, after combining and group commit *)
   bytes : int;  (** encoded bytes ever appended *)
   batch_mean : float;  (** mean flush requests coalesced per flush event *)
   batch_p99 : int;

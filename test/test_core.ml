@@ -1,6 +1,6 @@
 (* Tests for pitree.core: the interval key space, the generic six-condition
    well-formedness checker (against hand-built good and defective trees),
-   and saved paths. *)
+   saved paths, and the protocol core's completion queue. *)
 
 module K = Pitree_core.Keyspace.Interval
 module Wellformed = Pitree_core.Wellformed
@@ -179,18 +179,38 @@ let test_checker_handles_cycles () =
 
 let test_saved_path () =
   let p = Saved_path.empty in
-  let p = Saved_path.push p ~pid:10 ~level:2 ~state_id:5 ~slot:0 in
-  let p = Saved_path.push p ~pid:20 ~level:1 ~state_id:9 ~slot:3 in
+  let p = Saved_path.push p ~pid:10 ~level:2 ~state_id:5 in
+  let p = Saved_path.push p ~pid:20 ~level:1 ~state_id:9 in
   (match Saved_path.level p 1 with
   | Some e ->
       Alcotest.(check int) "pid" 20 e.Saved_path.pid;
-      Alcotest.(check int) "slot" 3 e.Saved_path.slot
+      Alcotest.(check int) "state id" 9 e.Saved_path.state_id
   | None -> Alcotest.fail "level 1 missing");
   Alcotest.(check bool) "level 0 absent" true (Saved_path.level p 0 = None);
   let above = Saved_path.above p 1 in
   Alcotest.(check int) "above keeps strictly higher" 1 (List.length above);
   Alcotest.(check bool) "above holds level 2" true
     (match above with [ e ] -> e.Saved_path.level = 2 | _ -> false)
+
+(* --- completion queue --- *)
+
+let test_completion_dedup () =
+  let module C = Pitree_core.Protocol.Completion in
+  let module Env = Pitree_env.Env in
+  let env = Env.create { Env.default_config with page_size = 512; pool_capacity = 64 } in
+  let q = C.create () in
+  let runs = ref 0 in
+  let schedule job = C.schedule q env job (fun () -> incr runs) in
+  Alcotest.(check bool) "first schedule queued" true (schedule (C.Post 7));
+  Alcotest.(check bool) "second schedule absorbed" false (schedule (C.Post 7));
+  Alcotest.(check bool) "other job kind queued" true (schedule (C.Consolidate 7));
+  Alcotest.(check int) "one posting pending" 1 (C.pending_posts q);
+  Alcotest.(check int) "two tasks ran" 2 (Env.drain env);
+  Alcotest.(check int) "each job once" 2 !runs;
+  Alcotest.(check int) "nothing pending" 0 (C.pending_posts q);
+  Alcotest.(check bool) "reschedule after the run" true (schedule (C.Post 7));
+  Alcotest.(check int) "rescheduled task ran" 1 (Env.drain env);
+  Alcotest.(check int) "three runs" 3 !runs
 
 let suites =
   [
@@ -215,4 +235,6 @@ let suites =
         Alcotest.test_case "terminates on cycles" `Quick test_checker_handles_cycles;
       ] );
     ("core.saved_path", [ Alcotest.test_case "push/level/above" `Quick test_saved_path ]);
+    ( "core.completion",
+      [ Alcotest.test_case "dedup until run, then reschedule" `Quick test_completion_dedup ] );
   ]

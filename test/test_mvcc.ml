@@ -87,26 +87,31 @@ let test_alloc_pins_and_gc_cap () =
 let test_alloc_storm () =
   let s = Snapshot.create () in
   let domains = 4 and per = 500 in
+  (* Workers only collect violations: Alcotest is not domain-safe, so
+     the main domain asserts on them after the joins. *)
   let work _ () =
-    let mine = ref [] in
+    let mine = ref [] and bad = ref [] in
     let last = ref 0 in
     for _ = 1 to per do
       let ts = Snapshot.allocate s in
-      if ts <= !last then Alcotest.failf "non-monotone: %d after %d" ts !last;
+      if ts <= !last then
+        bad := Printf.sprintf "non-monotone: %d after %d" ts !last :: !bad;
       last := ts;
       let r = Snapshot.begin_snapshot s in
       if r >= ts then
-        Alcotest.failf "snapshot %d not below own in-flight %d" r ts;
+        bad := Printf.sprintf "snapshot %d not below own in-flight %d" r ts :: !bad;
       Snapshot.release_snapshot s r;
       Snapshot.retire_all s [ ts ];
       mine := ts :: !mine
     done;
-    !mine
+    (!mine, !bad)
   in
-  let all =
-    List.init domains (fun d -> Domain.spawn (work d))
-    |> List.concat_map Domain.join
+  let results =
+    List.init domains (fun d -> Domain.spawn (work d)) |> List.map Domain.join
   in
+  let all = List.concat_map fst results in
+  Alcotest.(check (list string)) "allocation invariants" []
+    (List.concat_map snd results);
   Alcotest.(check int) "unique" (domains * per)
     (List.length (List.sort_uniq compare all));
   Alcotest.(check int) "watermark = max after quiesce"

@@ -82,11 +82,18 @@ let test_in_txn_split_commit_defers_posting () =
   ignore (Env.drain env);
   check_wf t
 
-let test_latch_order_clean () =
-  (* The engine's own traversals must never violate the section 4.1.1
-     latch order (parents before children, space map last). *)
+(* The engines' own traversals and structure changes must never violate
+   the section 4.1.1 latch order (parents before children, space map
+   last); every engine runs its descents through the rank-checked
+   protocol core. *)
+let latch_order_clean workload () =
   Latch_order.reset ();
   Latch_order.enable true;
+  Fun.protect ~finally:(fun () -> Latch_order.enable false) workload;
+  Alcotest.(check int) "no latch-order violations" 0 (Latch_order.violations ());
+  Latch_order.reset ()
+
+let blink_workload () =
   let env = Env.create (cfg ()) in
   let t = Blink.create env ~name:"t" in
   for i = 0 to 1_499 do
@@ -95,14 +102,50 @@ let test_latch_order_clean () =
   for i = 0 to 1_499 do
     if i mod 3 = 0 then ignore (Blink.delete t (key i))
   done;
-  ignore (Env.drain env);
   for _ = 1 to 10 do
     ignore (Env.drain env)
   done;
-  Latch_order.enable false;
-  Alcotest.(check int) "no latch-order violations" 0 (Latch_order.violations ());
-  Latch_order.reset ();
   check_wf t
+
+(* Key and time splits, postings, reads, and a gc pass that drains
+   history, purges tombstones and merges emptied leaves. *)
+let tsb_workload () =
+  let module Tsb = Pitree_tsb.Tsb in
+  let env = Env.create (cfg ~page_size:512 ()) in
+  let t = Tsb.create env ~name:"t" in
+  for round = 1 to 4 do
+    for i = 0 to 299 do
+      ignore (Tsb.put t ~key:(key i) ~value:(string_of_int round))
+    done
+  done;
+  for i = 100 to 299 do
+    ignore (Tsb.remove t (key i))
+  done;
+  for i = 0 to 299 do
+    ignore (Tsb.get t (key i))
+  done;
+  ignore (Tsb.range_asof t ~time:(Tsb.now t) ?low:None ?high:None ~init:0 ~f:(fun n _ _ -> n + 1));
+  Tsb.set_horizon t (Tsb.now t);
+  ignore (Tsb.gc t : int);
+  ignore (Env.drain env);
+  if not (Wellformed.ok (Tsb.verify t)) then Alcotest.fail "tsb not well-formed"
+
+(* Data and index splits with clipped postings, finds, region queries,
+   and deletes that empty nodes for consolidation. *)
+let hb_workload () =
+  let module Hb = Pitree_hb.Hb in
+  let env = Env.create (cfg ~page_size:512 ()) in
+  let t = Hb.create env ~name:"h" ~dims:2 in
+  let rng = Rng.create 11L in
+  let pts = Array.init 1_500 (fun _ -> [| Rng.float rng 1.0; Rng.float rng 1.0 |]) in
+  Array.iteri (fun i p -> Hb.insert t ~point:p ~value:(string_of_int i)) pts;
+  Array.iteri (fun i p -> if i mod 2 = 0 then ignore (Hb.delete t p)) pts;
+  Array.iter (fun p -> ignore (Hb.find t p)) pts;
+  ignore (Hb.query t ~low:[| 0.2; 0.2 |] ~high:[| 0.6; 0.6 |] ~init:0 ~f:(fun n _ _ -> n + 1));
+  for _ = 1 to 10 do
+    ignore (Env.drain env)
+  done;
+  if not (Wellformed.ok (Hb.verify t)) then Alcotest.fail "hb not well-formed"
 
 let test_eviction_pressure () =
   (* A pool far smaller than the tree: every operation faults pages in and
@@ -277,7 +320,9 @@ let suites =
       ] );
     ( "protocol.invariants",
       [
-        Alcotest.test_case "latch order clean" `Quick test_latch_order_clean;
+        Alcotest.test_case "latch order clean" `Quick (latch_order_clean blink_workload);
+        Alcotest.test_case "latch order clean: tsb" `Quick (latch_order_clean tsb_workload);
+        Alcotest.test_case "latch order clean: hb" `Quick (latch_order_clean hb_workload);
         Alcotest.test_case "posting idempotent" `Quick
           test_posting_completion_idempotent;
         Alcotest.test_case "no-wait rule backoff" `Slow test_no_wait_rule_backoff;

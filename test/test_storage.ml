@@ -419,17 +419,25 @@ let pool_storm ~shards () =
   let pool =
     Buffer_pool.create ~capacity:64 ~shards ~disk ~wal_flush:(fun _ -> ()) ()
   in
+  (* Alcotest is not domain-safe: workers only collect mismatches, and
+     the main domain asserts on them after the joins. *)
   let work d =
     let st = ref ((d * 7919) + 13) in
+    let bad = ref [] in
     for _ = 1 to per do
       st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
       let fr = Buffer_pool.pin pool (!st mod npages) in
-      Alcotest.(check int) "frame pid" (!st mod npages) fr.Buffer_pool.pid;
+      if fr.Buffer_pool.pid <> !st mod npages then
+        bad := (!st mod npages, fr.Buffer_pool.pid) :: !bad;
       Buffer_pool.unpin pool fr
-    done
+    done;
+    !bad
   in
-  List.init domains (fun d -> Domain.spawn (fun () -> work d))
-  |> List.iter Domain.join;
+  let bad =
+    List.init domains (fun d -> Domain.spawn (fun () -> work d))
+    |> List.concat_map Domain.join
+  in
+  Alcotest.(check (list (pair int int))) "frame pid" [] bad;
   let s = Buffer_pool.stats pool in
   Alcotest.(check int) "hits + misses = pins" (domains * per)
     (s.Buffer_pool.hits + s.Buffer_pool.misses);

@@ -348,6 +348,41 @@ let test_txn_abort_discards_version () =
     (Tsb.get t "k");
   Alcotest.(check int) "history clean" 1 (List.length (Tsb.history t "k"))
 
+let test_lazy_posting_after_crash () =
+  (* Section 5.1 on the TSB engine: key splits made inside a user
+     transaction commit as independent atomic actions, and their postings
+     wait in the completion queue, which nothing drains before the crash.
+     The committing transaction forces the log, so the splits survive but
+     their index terms do not; recovery completes nothing, and the first
+     reads side-step and schedule the postings. *)
+  let env, t = mk () in
+  let mgr = Env.txns env in
+  let key i = Printf.sprintf "key%04d" i in
+  let txn = Pitree_txn.Txn_mgr.begin_txn mgr Pitree_txn.Txn.User in
+  for i = 0 to 299 do
+    ignore (Tsb.put ~txn t ~key:(key i) ~value:(string_of_int i))
+  done;
+  Pitree_txn.Txn_mgr.commit mgr txn;
+  Alcotest.(check bool) "key splits happened" true ((Tsb.stats t).Tsb.key_splits > 0);
+  Env.crash env;
+  ignore (Env.recover env);
+  let t = Option.get (Tsb.open_existing env ~name:"v") in
+  check_wf t;
+  let read_all () =
+    for i = 0 to 299 do
+      Alcotest.(check (option string)) (key i) (Some (string_of_int i)) (Tsb.get t (key i))
+    done
+  in
+  read_all ();
+  Alcotest.(check bool) "reads side-stepped" true ((Tsb.stats t).Tsb.side_traversals > 0);
+  Alcotest.(check bool) "reads scheduled postings" true (Env.drain env > 0);
+  let s = Tsb.stats t in
+  Alcotest.(check bool) "postings completed" true (s.Tsb.postings_completed > 0);
+  read_all ();
+  Alcotest.(check int) "no more side steps once posted" s.Tsb.side_traversals
+    (Tsb.stats t).Tsb.side_traversals;
+  check_wf t
+
 let suites =
   [
     ( "tsb.ordkey",
@@ -387,5 +422,6 @@ let suites =
         Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
         Alcotest.test_case "txn abort discards version" `Quick
           test_txn_abort_discards_version;
+        Alcotest.test_case "lazy posting after crash" `Quick test_lazy_posting_after_crash;
       ] );
   ]
