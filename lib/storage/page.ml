@@ -111,23 +111,23 @@ let of_bytes ~id buf =
 (* --- checksums ---
 
    The CRC covers the entire page image with the checksum field itself
-   read as zero, so stamping is: zero the field, CRC, store. The buffer
-   pool stamps on every flush and verifies on every fetch; the field is
+   read as zero: [0,32) ++ 0000 ++ [36,n), one continued CRC over the
+   frame in place, so verifying never writes to the page. The buffer pool
+   stamps on every flush and verifies on every fetch; the field is
    meaningless (stale) while the page is dirty in memory. *)
 
 let checksum t = Codec.read_u32 t.buf checksum_off
 
+let zero_field = "\000\000\000\000"
+
 let compute_checksum t =
-  let saved = Codec.read_u32 t.buf checksum_off in
-  Codec.set_u32 t.buf checksum_off 0;
-  let crc = Codec.crc32 (Bytes.unsafe_to_string t.buf) in
-  Codec.set_u32 t.buf checksum_off saved;
-  crc
+  let s = Bytes.unsafe_to_string t.buf in
+  let crc = Codec.crc32 ~len:checksum_off s in
+  let crc = Codec.crc32 ~crc zero_field in
+  Codec.crc32 ~crc ~off:(checksum_off + 4) s
 
 let stamp_checksum t =
-  Codec.set_u32 t.buf checksum_off 0;
-  let crc = Codec.crc32 (Bytes.unsafe_to_string t.buf) in
-  Codec.set_u32 t.buf checksum_off (Int32.to_int crc land 0xFFFFFFFF)
+  Codec.set_u32 t.buf checksum_off (Int32.to_int (compute_checksum t))
 
 let checksum_ok t =
   Int32.equal (compute_checksum t)

@@ -78,7 +78,8 @@ val checksum : t -> int
 (** The stamped checksum field (meaningless while the page is dirty). *)
 
 val compute_checksum : t -> int32
-(** CRC32 of the current image with the checksum field read as zero. *)
+(** CRC32 of the current image with the checksum field read as zero.
+    Reads the page in place and writes nothing to it. *)
 
 val stamp_checksum : t -> unit
 (** Store {!compute_checksum} into the header (done by the buffer pool on

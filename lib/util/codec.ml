@@ -12,15 +12,20 @@ let put_bytes b s =
 
 let put_float b f = put_i64 b (Int64.bits_of_float f)
 
-type reader = { src : string; mutable off : int }
+type reader = { src : string; mutable off : int; stop : int }
 
-let reader ?(pos = 0) src = { src; off = pos }
+let reader ?(pos = 0) ?len src =
+  let stop = match len with Some n -> pos + n | None -> String.length src in
+  if pos < 0 || stop < pos || stop > String.length src then
+    invalid_arg "Codec.reader";
+  { src; off = pos; stop }
+
 let pos r = r.off
-let remaining r = String.length r.src - r.off
+let remaining r = r.stop - r.off
 
 let need r n =
-  if r.off + n > String.length r.src then
-    raise (Corrupt (Printf.sprintf "short read: need %d at %d, have %d" n r.off (String.length r.src)))
+  if r.off + n > r.stop then
+    raise (Corrupt (Printf.sprintf "short read: need %d at %d, have %d" n r.off r.stop))
 
 let get_u8 r =
   need r 1;
@@ -64,23 +69,53 @@ let read_u16 b off = Bytes.get_uint16_le b off
 let read_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 let read_i64 b off = Bytes.get_int64_le b off
 
+(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, init and final
+   xor 0xFFFFFFFF), sliced by 8: table [k] (entries [k*256 .. k*256+255])
+   advances a byte through k further zero bytes, so one step folds eight
+   input bytes with eight lookups. Entries are native ints, and the loop
+   keeps the register in an unboxed local, so nothing is allocated per
+   byte. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  let t = Array.make 2048 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to 2047 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xff)
+  done;
+  t
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xffl) in
-      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-    s;
-  Int32.logxor !crc 0xFFFFFFFFl
+let crc32 ?(crc = 0l) ?(off = 0) ?len s =
+  let len = match len with Some n -> n | None -> String.length s - off in
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Codec.crc32";
+  let t = crc_table in
+  let c = ref (Int32.to_int crc land 0xffffffff lxor 0xffffffff) in
+  let i = ref off in
+  let stop = off + len in
+  while !i + 8 <= stop do
+    let a = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xffffffff) in
+    let b = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xffffffff in
+    c :=
+      Array.unsafe_get t (1792 + (a land 0xff))
+      lxor Array.unsafe_get t (1536 + ((a lsr 8) land 0xff))
+      lxor Array.unsafe_get t (1280 + ((a lsr 16) land 0xff))
+      lxor Array.unsafe_get t (1024 + (a lsr 24))
+      lxor Array.unsafe_get t (768 + (b land 0xff))
+      lxor Array.unsafe_get t (512 + ((b lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((b lsr 16) land 0xff))
+      lxor Array.unsafe_get t (b lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s !i)) land 0xff)
+      lxor (!c lsr 8);
+    incr i
+  done;
+  Int32.of_int (!c lxor 0xffffffff)

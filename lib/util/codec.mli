@@ -26,7 +26,11 @@ val put_float : Buffer.t -> float -> unit
 
 type reader
 
-val reader : ?pos:int -> string -> reader
+val reader : ?pos:int -> ?len:int -> string -> reader
+(** [reader ~pos ~len s] reads [s] from [pos] (default 0); [len] (default:
+    to the end of [s]) bounds it, so a read past [pos + len] raises
+    [Corrupt] as a short read. *)
+
 val pos : reader -> int
 val remaining : reader -> int
 
@@ -47,5 +51,11 @@ val read_u16 : bytes -> int -> int
 val read_u32 : bytes -> int -> int
 val read_i64 : bytes -> int -> int64
 
-val crc32 : string -> int32
-(** CRC-32 (IEEE) over the whole string; used for log-record framing. *)
+val crc32 : ?crc:int32 -> ?off:int -> ?len:int -> string -> int32
+(** [crc32 ~crc ~off ~len s] is the CRC-32 (IEEE 802.3: reflected
+    polynomial 0xEDB88320, init and final xor 0xFFFFFFFF) of the [len]
+    bytes of [s] at [off] ([off] defaults to 0, [len] to the rest of [s]).
+    [crc] (default [0l], the CRC of no bytes) continues a checksum:
+    [crc32 ~crc:(crc32 a) b = crc32 (a ^ b)]. Used for page checksums and
+    log-record framing; allocates nothing per byte. Raises
+    [Invalid_argument] when the range is outside [s]. *)

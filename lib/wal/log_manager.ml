@@ -1,5 +1,6 @@
 module Histogram = Pitree_util.Histogram
 module Crash_point = Pitree_util.Crash_point
+module Clock = Pitree_sync.Clock
 
 type backing = {
   mutable fd : Unix.file_descr;  (* replaced when truncation rewrites the file *)
@@ -313,13 +314,12 @@ let flush ?(commits = 0) t lsn =
   let target = min lsn t.count in
   t.logical_commits <- t.logical_commits + commits;
   if target > t.durable then begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     t.flush_requests <- t.flush_requests + 1;
     if target > t.flush_target then t.flush_target <- target;
     t.pending <- target :: t.pending;
     flush_locked t target;
-    Histogram.record t.wait_hist
-      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+    Histogram.record t.wait_hist (Clock.now_ns () - t0)
   end;
   Mutex.unlock t.mu
 

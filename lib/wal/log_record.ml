@@ -37,8 +37,12 @@ let body_tag = function
   | End_checkpoint _ -> 9
   | Commit_ts _ -> 10
 
+(* Framing: u32 payload length, payload, u32 CRC of the payload. The
+   record is built in one buffer with both words as placeholders, then
+   patched in place. *)
 let encode t =
   let b = Buffer.create 64 in
+  Codec.put_u32 b 0;
   Codec.put_int b t.lsn;
   Codec.put_int b t.prev;
   Codec.put_int b t.txn;
@@ -79,23 +83,22 @@ let encode t =
           Codec.put_u8 b (if committed then 1 else 0))
         att
   | Commit_ts { ts } -> Codec.put_int b ts);
-  let payload = Buffer.contents b in
-  let framed = Buffer.create (String.length payload + 8) in
-  Codec.put_u32 framed (String.length payload);
-  Buffer.add_string framed payload;
-  Codec.put_u32 framed (Int32.to_int (Codec.crc32 payload) land 0xffffffff);
-  Buffer.contents framed
+  Codec.put_u32 b 0;
+  let framed = Buffer.to_bytes b in
+  let len = Bytes.length framed - 8 in
+  Codec.set_u32 framed 0 len;
+  Codec.set_u32 framed (4 + len)
+    (Int32.to_int (Codec.crc32 ~off:4 ~len (Bytes.unsafe_to_string framed)));
+  Bytes.unsafe_to_string framed
 
 let decode s =
   let r = Codec.reader s in
   let len = Codec.get_u32 r in
   if Codec.remaining r < len + 4 then raise (Codec.Corrupt "log record truncated");
-  let payload = String.sub s (Codec.pos r) len in
-  let r2 = Codec.reader ~pos:(Codec.pos r + len) s in
-  let crc = Codec.get_u32 r2 in
-  if crc <> Int32.to_int (Codec.crc32 payload) land 0xffffffff then
+  let crc = Codec.get_u32 (Codec.reader ~pos:(4 + len) s) in
+  if crc <> Int32.to_int (Codec.crc32 ~off:4 ~len s) land 0xffffffff then
     raise (Codec.Corrupt "log record CRC mismatch");
-  let r = Codec.reader payload in
+  let r = Codec.reader ~pos:4 ~len s in
   let lsn = Codec.get_int r in
   let prev = Codec.get_int r in
   let txn = Codec.get_int r in

@@ -23,19 +23,15 @@ let pp_report ppf r =
     r.loser_txns r.clrs_written r.committed_unended r.torn_pages
     r.retried_reads r.max_commit_ts
 
-(* Pages whose durable image failed verification during this restart: they
-   were rebuilt from scratch by redo (repeating history from their Format
-   record), exactly as if they had never reached disk. *)
-let torn_count = Atomic.make 0
-
 (* Pin the page, creating an empty frame when it has no durable image yet
    (its Format record is about to be redone) — or when the durable image is
    torn or corrupt: a page that cannot be trusted is a page that was never
    written, and redo rebuilds it from the log. When [rebuilding] is given,
    a page that fell back to an empty frame is recorded in it: redo must
    withhold slot-level records from such a page until a base-establishing
-   record (full-page image or Format) re-creates its contents. *)
-let pin_or_new ?rebuilding pool pid =
+   record (full-page image or Format) re-creates its contents. [torn]
+   counts the pages whose durable image failed verification. *)
+let pin_or_new ?rebuilding ~torn pool pid =
   let fresh () =
     (match rebuilding with
     | Some tbl -> Hashtbl.replace tbl pid ()
@@ -46,14 +42,14 @@ let pin_or_new ?rebuilding pool pid =
   | fr -> fr
   | exception Not_found -> fresh ()
   | exception Page.Corrupt _ ->
-      Atomic.incr torn_count;
+      incr torn;
       fresh ()
 
 (* Apply one undo step for [record] (an Update), writing a CLR. Returns the
    CLR's lsn. [prev] is the transaction's latest log record, to backchain. *)
-let undo_update ~log ~pool ~txn ~prev ~page:pid ~op ~undo_next =
+let undo_update ~torn ~log ~pool ~txn ~prev ~page:pid ~op ~undo_next =
   let inverse = Page_op.invert op in
-  let fr = pin_or_new pool pid in
+  let fr = pin_or_new ~torn pool pid in
   Latch.acquire fr.Buffer_pool.latch Latch.X;
   (* Dirty before the CLR is appended and before mutating: rec_lsn must be
      captured from the pre-CLR page LSN (or a checkpoint's dirty-page table
@@ -71,6 +67,8 @@ let undo_update ~log ~pool ~txn ~prev ~page:pid ~op ~undo_next =
   clr_lsn
 
 let rollback ?prev ~log ~pool ~txn ~from_lsn () =
+  (* A live abort is not a restart: it reports no torn-page tally. *)
+  let torn = ref 0 in
   let rec go cur prev last_clr =
     if Lsn.is_null cur then last_clr
     else
@@ -79,7 +77,7 @@ let rollback ?prev ~log ~pool ~txn ~from_lsn () =
       match r.Log_record.body with
       | Log_record.Update { page; op; lundo = None } ->
           let clr =
-            undo_update ~log ~pool ~txn ~prev ~page ~op
+            undo_update ~torn ~log ~pool ~txn ~prev ~page ~op
               ~undo_next:r.Log_record.prev
           in
           go r.Log_record.prev clr clr
@@ -114,7 +112,11 @@ let rollback ?prev ~log ~pool ~txn ~from_lsn () =
 type att_entry = { mutable last : Lsn.t; mutable committed : bool }
 
 let run ~log ~pool =
-  let torn_before = Atomic.get torn_count in
+  (* Pages whose durable image failed verification during this restart:
+     they are rebuilt from scratch by redo (repeating history from their
+     Format record or full-page image), exactly as if they had never
+     reached disk. *)
+  let torn = ref 0 in
   let pool_stats_before = Buffer_pool.stats pool in
   (* --- Analysis --- *)
   let att : (int, att_entry) Hashtbl.t = Hashtbl.create 64 in
@@ -204,7 +206,7 @@ let run ~log ~pool =
   let rebuilding : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   Log_manager.iter_from log redo_from (fun r ->
       let apply ~base page mutate =
-        let fr = pin_or_new ~rebuilding pool page in
+        let fr = pin_or_new ~rebuilding ~torn pool page in
         if base then Hashtbl.remove rebuilding page;
         if Hashtbl.mem rebuilding page then incr skipped
         else if Page.lsn fr.Buffer_pool.page < r.Log_record.lsn then begin
@@ -276,7 +278,7 @@ let run ~log ~pool =
         (match r.Log_record.body with
         | Log_record.Update { page; op; lundo = None } ->
             let clr =
-              undo_update ~log ~pool ~txn ~prev:!prev ~page ~op
+              undo_update ~torn ~log ~pool ~txn ~prev:!prev ~page ~op
                 ~undo_next:r.Log_record.prev
             in
             prev := clr;
@@ -329,7 +331,7 @@ let run ~log ~pool =
     loser_txns = List.map fst !losers;
     clrs_written = !clrs;
     committed_unended = !ended;
-    torn_pages = Atomic.get torn_count - torn_before;
+    torn_pages = !torn;
     retried_reads =
       pool_stats_after.Buffer_pool.retried_reads
       - pool_stats_before.Buffer_pool.retried_reads;

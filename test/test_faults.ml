@@ -278,9 +278,34 @@ let cfg =
 
 let key i = Printf.sprintf "key%04d" i
 
-let test_torn_page_recovery () =
-  let disk, ctl = mk_faulty ~seed:21L () in
-  let env = Env.create ~disk cfg in
+(* A torn page that recovery must rebuild from the log. The final flush
+   tears its first write (the Faulty plan picks which page that is, and
+   aborts the flush there); the test then replaces that write's random cut
+   with one it controls: new bytes up to the middle of the range where the
+   old and new images differ, old bytes after it. A random cut can land
+   past the last differing byte, and then the "torn" image is a complete
+   write that verifies. The premise - the durable image fails
+   [Page.of_durable] - is asserted before the crash. Run at 1 and 2 pool
+   shards, which flush pages in different orders. *)
+let test_torn_page_recovery ~shards () =
+  let inner = Disk.in_memory ~page_size in
+  let faulty, ctl =
+    Disk.Faulty.wrap ~seed:(Int64.add fault_base 21L) inner
+  in
+  (* Remember each write's previous durable image and new image. *)
+  let last_write = ref None in
+  let disk =
+    {
+      faulty with
+      Disk.write =
+        (fun pid buf ->
+          let old = Bytes.make page_size '\000' in
+          (try inner.Disk.read pid old with Not_found -> ());
+          last_write := Some (pid, old, Bytes.copy buf);
+          faulty.Disk.write pid buf);
+    }
+  in
+  let env = Env.create ~disk { cfg with pool_shards = Some shards } in
   let t = Blink.create env ~name:"t" in
   for i = 0 to 199 do
     Blink.insert t ~key:(key i) ~value:(string_of_int i)
@@ -300,12 +325,36 @@ let test_torn_page_recovery () =
       Disk.Faulty.torn_write = 1.0;
       protected_pids = [ 1 ];
     };
-  (match Buffer_pool.flush_all (Env.pool env) with
-  | () -> Alcotest.fail "flush should hit the torn write"
-  | exception Disk.Disk_error { transient = false; _ } -> ());
+  let torn_pid =
+    match Buffer_pool.flush_all (Env.pool env) with
+    | () -> Alcotest.fail "flush should hit the torn write"
+    | exception Disk.Disk_error { pid; transient = false; _ } -> pid
+  in
   Alcotest.(check int) "one torn write" 1
     (Disk.Faulty.counters ctl).Disk.Faulty.torn_writes;
   Disk.Faulty.set_plan ctl Disk.Faulty.no_faults;
+  let old_img, new_img =
+    match !last_write with
+    | Some (pid, o, n) when pid = torn_pid -> (o, n)
+    | _ -> Alcotest.fail "the torn write was not the last write"
+  in
+  let differs i = Bytes.get old_img i <> Bytes.get new_img i in
+  let rec first i = if differs i then i else first (i + 1) in
+  let rec last i = if differs i then i else last (i - 1) in
+  let lo = first 0 and hi = last (page_size - 1) in
+  Alcotest.(check bool) "images differ in more than one byte" true (lo < hi);
+  let cut = (lo + hi + 1) / 2 in
+  let torn = Bytes.copy old_img in
+  Bytes.blit new_img 0 torn 0 cut;
+  inner.Disk.write torn_pid torn;
+  let durable = Bytes.make page_size '\000' in
+  inner.Disk.read torn_pid durable;
+  Alcotest.(check bool)
+    (Printf.sprintf "durable image of page %d fails verification" torn_pid)
+    true
+    (match Page.of_durable ~id:torn_pid durable with
+    | _ -> false
+    | exception Page.Corrupt _ -> true);
   Env.crash env;
   let report = Env.recover env in
   Alcotest.(check bool) "torn page detected and rebuilt" true
@@ -407,8 +456,10 @@ let suites =
       ] );
     ( "faults.recovery",
       [
-        tc "torn page rebuilt from log" `Quick
-          test_torn_page_recovery;
+        tc "torn page rebuilt from log: 1 shard" `Quick
+          (test_torn_page_recovery ~shards:1);
+        tc "torn page rebuilt from log: 2 shards" `Quick
+          (test_torn_page_recovery ~shards:2);
         tc "flaky reads across restart" `Quick
           test_recovery_with_transient_reads;
       ] );

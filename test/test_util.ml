@@ -1,10 +1,14 @@
-(* Tests for pitree.util: PRNG, Zipf, histogram, codec. *)
+(* Tests for pitree.util: PRNG, Zipf, histogram, codec (including the
+   CRC32 kernel, against a bit-at-a-time reference and against page and
+   log-record images checked in as golden fixtures). *)
 
 module Rng = Pitree_util.Rng
 module Zipf = Pitree_util.Zipf
 module Histogram = Pitree_util.Histogram
 module Codec = Pitree_util.Codec
 module Bits = Pitree_util.Bits
+module Page = Pitree_storage.Page
+module Log_record = Pitree_wal.Log_record
 
 let test_rng_deterministic () =
   let a = Rng.create 42L and b = Rng.create 42L in
@@ -222,6 +226,124 @@ let test_crc32_known () =
   Alcotest.(check int32) "crc32 vector" 0xCBF43926l (Codec.crc32 "123456789");
   Alcotest.(check bool) "differs" true (Codec.crc32 "a" <> Codec.crc32 "b")
 
+(* Bit-at-a-time CRC-32 (IEEE, reflected 0xEDB88320, init and final xor
+   0xFFFFFFFF): the definition the sliced kernel must reproduce. *)
+let crc32_ref s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xffffffff)
+
+let random_string st n = String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+(* Every tail length of the sliced loop (0-16) and both sides of a 4 KB
+   page. *)
+let test_crc32_edge_lengths () =
+  let st = Random.State.make [| 13 |] in
+  List.iter
+    (fun n ->
+      let s = random_string st n in
+      Alcotest.(check int32) (Printf.sprintf "length %d" n) (crc32_ref s)
+        (Codec.crc32 s))
+    (List.init 17 Fun.id @ [ 4095; 4096; 4097 ])
+
+let test_crc32_no_alloc () =
+  let s = String.make 4096 'x' in
+  ignore (Codec.crc32 s);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Codec.crc32 ~off:1 ~len:4095 s))
+  done;
+  let words = (Gc.minor_words () -. before) /. 100. in
+  if words > 16. then Alcotest.failf "%.1f minor words per 4 KB CRC" words
+
+let gen_crc_input =
+  QCheck.(
+    make ~print:(fun s -> Printf.sprintf "<%d bytes>" (String.length s))
+      Gen.(int_range 0 9000 >>= fun n -> string_size ~gen:char (return n)))
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32 matches bit-at-a-time reference" ~count:300
+    gen_crc_input
+    (fun s -> Int32.equal (Codec.crc32 s) (crc32_ref s))
+
+let prop_crc_range =
+  QCheck.Test.make ~name:"crc32 off/len range" ~count:300
+    QCheck.(triple gen_crc_input small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Int32.equal (Codec.crc32 ~off ~len s) (crc32_ref (String.sub s off len)))
+
+let prop_crc_continuation =
+  QCheck.Test.make ~name:"crc32 continuation equals CRC of concatenation"
+    ~count:300
+    QCheck.(pair gen_crc_input gen_crc_input)
+    (fun (a, b) ->
+      Int32.equal (Codec.crc32 ~crc:(Codec.crc32 a) b) (crc32_ref (a ^ b)))
+
+(* Golden fixtures, written by the bytewise Int32 CRC this kernel
+   replaced: a stamped 128-byte data page (id 7, lsn 4242, side pointer 9,
+   cells "alpha=1", "beta=22", "gamma=333"; checksum 0xec1a0b8e) and the
+   encoded Page_image log record (lsn 4243, prev 4100, txn 17) that carries
+   it. Both must still verify and decode, and re-stamping or re-encoding
+   must reproduce them byte for byte. *)
+let golden_page_hex =
+  "49500200921000000000000007000000030069000900000000000000000000008e0b1aec"
+  ^ "000000007900070072000700690009000000000000000000000000000000000000000000"
+  ^ "00000000000000000000000000000000000000000000000000000000000000000067616d"
+  ^ "6d613d333333626574613d3232616c7068613d31"
+
+let golden_record_hex =
+  "a1000000931000000000000004100000000000001100000000000000070700000080000000"
+  ^ golden_page_hex ^ "8cc0de37"
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_golden_page () =
+  let img = of_hex golden_page_hex in
+  Alcotest.(check int) "fixture size" 128 (String.length img);
+  let p = Page.of_durable ~id:7 (Bytes.of_string img) in
+  Alcotest.(check int) "stored checksum" 0xec1a0b8e (Page.checksum p);
+  Alcotest.(check int32) "computed checksum" 0xec1a0b8el
+    (Page.compute_checksum p);
+  Alcotest.(check int) "lsn" 4242 (Page.lsn p);
+  Alcotest.(check int) "side" 9 (Page.side_ptr p);
+  Alcotest.(check (list string)) "cells" [ "alpha=1"; "beta=22"; "gamma=333" ]
+    (List.init (Page.slot_count p) (Page.get p));
+  Page.stamp_checksum p;
+  Alcotest.(check string) "re-stamp is byte-identical" img
+    (Bytes.to_string (Page.raw p));
+  let q = Page.create ~size:128 ~id:7 ~kind:Page.Data ~level:0 in
+  List.iteri (Page.insert q) [ "alpha=1"; "beta=22"; "gamma=333" ];
+  Page.set_lsn q 4242;
+  Page.set_side_ptr q 9;
+  Page.stamp_checksum q;
+  Alcotest.(check string) "rebuilt page is byte-identical" img
+    (Bytes.to_string (Page.raw q))
+
+let test_golden_record () =
+  let framed = of_hex golden_record_hex in
+  let r = Log_record.decode framed in
+  Alcotest.(check int) "lsn" 4243 r.Log_record.lsn;
+  Alcotest.(check int) "prev" 4100 r.Log_record.prev;
+  Alcotest.(check int) "txn" 17 r.Log_record.txn;
+  (match r.Log_record.body with
+  | Log_record.Page_image { page; image } ->
+      Alcotest.(check int) "page" 7 page;
+      Alcotest.(check string) "image" (of_hex golden_page_hex) image
+  | _ -> Alcotest.fail "expected a Page_image record");
+  Alcotest.(check string) "re-encode is byte-identical" framed
+    (Log_record.encode r)
+
 let test_bits () =
   Alcotest.(check int) "clz 0" 64 (Bits.clz 0);
   Alcotest.(check int) "clz 1" 63 (Bits.clz 1);
@@ -286,5 +408,12 @@ let suites =
         Alcotest.test_case "bits" `Quick test_bits;
         QCheck_alcotest.to_alcotest prop_bytes_roundtrip;
         QCheck_alcotest.to_alcotest prop_crc_detects_flip;
+        Alcotest.test_case "crc32 edge lengths" `Quick test_crc32_edge_lengths;
+        Alcotest.test_case "crc32 allocation-free" `Quick test_crc32_no_alloc;
+        QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+        QCheck_alcotest.to_alcotest prop_crc_range;
+        QCheck_alcotest.to_alcotest prop_crc_continuation;
+        Alcotest.test_case "golden page image" `Quick test_golden_page;
+        Alcotest.test_case "golden log record" `Quick test_golden_record;
       ] );
   ]
